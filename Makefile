@@ -16,8 +16,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The concurrency-heavy packages run at -cpu 1,4: one processor
+# serializes goroutines that race on more, and four exercise per-worker
+# DP scratch and job hand-off under real parallelism.
+RACE_MULTICORE = ./internal/service/... ./internal/cluster/... ./internal/chaostest/...
+
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v -e /internal/service -e /internal/cluster -e /internal/chaostest)
+	$(GO) test -race -cpu 1,4 $(RACE_MULTICORE)
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
@@ -39,9 +45,9 @@ obs-overhead:
 # The parallel DP engine's byte-identical contract: every testdata
 # circuit mapped with workers=1 vs workers=N across all mappers and
 # Pareto modes must produce the same service.EncodeJSON bytes, with the
-# race detector watching the scheduler itself.
+# race detector watching the scheduler itself, at 1 and 4 processors.
 par-determinism:
-	$(GO) test -race -run 'TestParallel' -v . ./internal/mapper
+	$(GO) test -race -cpu 1,4 -run 'TestParallel' -v . ./internal/mapper
 
 # The strash front-end's determinism contract: every testdata circuit's
 # strash output is byte-stable across runs and idempotent, the strash-on

@@ -67,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 2
 	}
-	if c.ReplicationFactor > len(c.Replicas) {
-		c.ReplicationFactor = len(c.Replicas)
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -180,6 +177,9 @@ func New(cfg Config) (*Router, error) {
 		rt.replicas = append(rt.replicas, rep)
 		rt.byURL[u] = rep
 	}
+	// The ring drops duplicate URLs, so the preference lists route over
+	// may be shorter than the configured replica list.
+	rt.cfg.ReplicationFactor = min(rt.cfg.ReplicationFactor, len(rt.replicas))
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/map", rt.handleMap)

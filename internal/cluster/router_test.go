@@ -170,6 +170,26 @@ func TestRouterConsistentRouting(t *testing.T) {
 	}
 }
 
+// TestDuplicateReplicas: a replica listed twice (a copy-paste slip in
+// -replicas) is one ring member, not two: it owns one index and every
+// key, submissions through it finish, and a repeat is a cache hit on it.
+func TestDuplicateReplicas(t *testing.T) {
+	_, rep := newReplicaTS(t, service.Config{})
+	rt, ts := newRouterTS(t, Config{Replicas: []string{rep.URL, rep.URL}})
+	if n := len(rt.replicas); n != 1 {
+		t.Fatalf("router has %d replicas for one distinct URL, want 1", n)
+	}
+	for i, wantCached := range []bool{false, true} {
+		code, v := postRouter(t, ts, `{"circuit": "mux"}`)
+		if code != http.StatusOK || v.State != service.JobDone {
+			t.Fatalf("submit %d: code %d, state %s (%s)", i, code, v.State, v.Error)
+		}
+		if !strings.HasPrefix(v.ID, "0.") || v.Cached != wantCached {
+			t.Fatalf("submit %d: id %q cached=%t, want replica 0 and cached=%t", i, v.ID, v.Cached, wantCached)
+		}
+	}
+}
+
 // TestRouterPropagatesRequestIdentity: a forwarded submission carries
 // the caller's well-formed X-Request-ID and a traceparent under the
 // caller's trace id to the replica, and the response echoes the request

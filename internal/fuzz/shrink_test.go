@@ -4,10 +4,20 @@ import (
 	"context"
 	"testing"
 
+	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
 )
+
+// invertReorderContext arms the SOI reorder-inversion Flip fault
+// (mapper.PointInvertReorder) unconditionally: every SOI stack-order
+// decision of a run on the returned context is inverted.
+func invertReorderContext(ctx context.Context) context.Context {
+	reg := faultpoint.New(1)
+	reg.Arm(mapper.PointInvertReorder, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 1})
+	return faultpoint.With(ctx, reg)
+}
 
 // faultConfig is the narrow campaign used to demonstrate end-to-end
 // violation detection: only the SOI and RS area/k1/footless/plain
@@ -33,14 +43,12 @@ func faultConfig() Config {
 // oracle, and shrink the first failing network to a repro of at most 15
 // nodes that still fails.
 func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
-	prev := mapper.SetFaultInvertSOIReorder(true)
-	defer mapper.SetFaultInvertSOIReorder(prev)
-
+	ctx := invertReorderContext(context.Background())
 	cfg := faultConfig()
 	cfg.Cases = 120
 	cfg.Workers = 4
 	e := New(cfg)
-	sum, err := e.Run(context.Background())
+	sum, err := e.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
 	}
 
 	net := e.Config().CaseNetwork(v.Case)
-	shrunk := e.ShrinkFailure(context.Background(), net, v.Oracle)
+	shrunk := e.ShrinkFailure(ctx, net, v.Oracle)
 	t.Logf("shrunk case %d from %d to %d nodes", v.Case, net.Len(), shrunk.Len())
 	if shrunk.Len() > 15 {
 		t.Errorf("shrunk repro has %d nodes, want <= 15:\n%s", shrunk.Len(), shrunk.Dump())
@@ -63,7 +71,7 @@ func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
 	}
 	// The shrunk repro must still fail the same oracle...
 	found := false
-	for _, sv := range e.CheckNetwork(context.Background(), shrunk) {
+	for _, sv := range e.CheckNetwork(ctx, shrunk) {
 		if sv.Oracle == v.Oracle {
 			found = true
 		}
@@ -71,12 +79,10 @@ func TestFaultInjectionCaughtAndShrunk(t *testing.T) {
 	if !found {
 		t.Fatal("shrunk network no longer reproduces the violation")
 	}
-	// ...and be perfectly healthy once the fault is removed.
-	mapper.SetFaultInvertSOIReorder(false)
+	// ...and be perfectly healthy without the fault.
 	if vs := e.CheckNetwork(context.Background(), shrunk); len(vs) != 0 {
 		t.Fatalf("shrunk network fails healthy mappers: %v", vs)
 	}
-	mapper.SetFaultInvertSOIReorder(true) // restore for the deferred Swap
 }
 
 // TestShrinkPreservesSemantics drives the shrinker with a simple

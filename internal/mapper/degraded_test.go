@@ -147,41 +147,47 @@ func TestFaultPointsAbortRun(t *testing.T) {
 	}
 }
 
-// TestFlipFaultInvertsReorder pins that the context-threaded flip point
-// reproduces SetFaultInvertSOIReorder's effect: with the flip armed at
-// probability 1 the SOI mapper builds the same (worse) trees as the
-// legacy global hook, without touching any other run.
+// TestFlipFaultInvertsReorder pins the context-threaded reorder fault:
+// armed at probability 1 it inverts every SOI stack-order decision of the
+// runs on its context — deterministically, so two armed runs build the
+// same trees — and the inverted result stays audit-clean and equivalent,
+// while a run without the registry is untouched and never carries more
+// discharge devices.
 func TestFlipFaultInvertsReorder(t *testing.T) {
 	n := randomUnateNetwork(3, 5, 24)
 	opt := DefaultOptions()
 
-	prev := SetFaultInvertSOIReorder(true)
-	legacy, err := SOIDominoMap(n, opt)
-	SetFaultInvertSOIReorder(prev)
-	if err != nil {
-		t.Fatal(err)
+	flipped := func() (*Result, *faultpoint.Registry) {
+		reg := faultpoint.New(1)
+		reg.Arm(PointInvertReorder, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 1})
+		res, err := SOIDominoMapContext(faultpoint.With(context.Background(), reg), n, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, reg
 	}
-
-	reg := faultpoint.New(1)
-	reg.Arm(PointInvertReorder, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 1})
-	flipped, err := SOIDominoMapContext(faultpoint.With(context.Background(), reg), n, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flipped.Stats != legacy.Stats {
-		t.Errorf("flip point stats %+v differ from legacy hook stats %+v",
-			flipped.Stats, legacy.Stats)
+	inv, reg := flipped()
+	again, _ := flipped()
+	if inv.Dump() != again.Dump() {
+		t.Error("two armed runs built different trees")
 	}
 	if reg.Fired()[PointInvertReorder] == 0 {
 		t.Error("flip point never fired")
 	}
+	if err := inv.Audit(); err != nil {
+		t.Errorf("inverted result fails the audit: %v", err)
+	}
+	checkMappedEquivalent(t, n, inv)
 
 	clean, err := SOIDominoMap(n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Stats.TDisch > legacy.Stats.TDisch {
+	if clean.Dump() == inv.Dump() {
+		t.Error("inverted run built the clean run's trees — fault had no effect")
+	}
+	if clean.Stats.TDisch > inv.Stats.TDisch {
 		t.Errorf("clean run TDisch %d worse than inverted %d — fault had no bite",
-			clean.Stats.TDisch, legacy.Stats.TDisch)
+			clean.Stats.TDisch, inv.Stats.TDisch)
 	}
 }

@@ -82,21 +82,7 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 	if err := unate.IsUnate(n); err != nil {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
-	e := &engine{
-		ctx:        ctx,
-		cfg:        cfg,
-		net:        n,
-		stats:      obs.StatsFrom(ctx),
-		tracer:     obs.TracerFrom(ctx),
-		faults:     faultpoint.From(ctx),
-		tables:     make([]tuple.Table, n.Len()),
-		gateChoice: make([]tuple.Choice, n.Len()),
-		formed:     make([]tuple.Tuple, n.Len()),
-		hasGate:    make([]bool, n.Len()),
-	}
-	if cfg.Pareto {
-		e.fronts = make([]tuple.Frontier, n.Len())
-	}
+	e := newEngine(ctx, n, cfg)
 	e.stats.SetAlgorithm(cfg.algorithm)
 	if e.tracer != nil {
 		kv := []obs.KV{{Key: "nodes", Val: int64(n.Len())}}
@@ -106,10 +92,6 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 			e.tracer.Instant("mapper", "run "+cfg.algorithm, kv...)
 		}
 	}
-	// FanoutCounts, not ComputeFanout: mapping must not write to the input
-	// network, so runs sharing one network can proceed in parallel.
-	e.fanout = n.FanoutCounts()
-	e.outRefs = n.OutputRefs()
 	dpStart := e.tracer.Now()
 	err := obs.Timed(e.stats, obs.PhaseDP, e.process)
 	e.tracer.Span("mapper", cfg.algorithm+" dp", dpStart)
@@ -132,6 +114,31 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 	}
 	res.Degraded = e.degraded
 	return res, nil
+}
+
+// newEngine sets up the DP state for one run of a validated config.
+func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
+	e := &engine{
+		ctx:    ctx,
+		cfg:    cfg,
+		net:    n,
+		stats:  obs.StatsFrom(ctx),
+		tracer: obs.TracerFrom(ctx),
+		faults: faultpoint.From(ctx),
+		// FanoutCounts, not ComputeFanout: mapping must not write to the
+		// input network, so runs sharing one network can proceed in
+		// parallel.
+		fanout:  n.FanoutCounts(),
+		outRefs: n.OutputRefs(),
+		tables:  make([]tuple.Table, n.Len()),
+		gateIdx: make([]int32, n.Len()),
+		formed:  make([]tuple.Tuple, n.Len()),
+		hasGate: make([]bool, n.Len()),
+	}
+	// Method values bound once: the DP hands them to every insert and
+	// comparison, and binding per call would allocate.
+	e.lessFn, e.formLessFn = e.less, e.formLess
+	return e
 }
 
 // engine holds the dynamic-programming state for one mapping run.
@@ -157,11 +164,12 @@ type engine struct {
 	keptTuples int
 	degraded   bool
 
-	tables     []tuple.Table    // per And/Or node: best tuple per {W,H}
-	fronts     []tuple.Frontier // Pareto mode: frontier per node
-	gateChoice []tuple.Choice   // per node: the tuple chosen at gate formation
-	formed     []tuple.Tuple    // per node: cumulative totals of the formed gate
-	hasGate    []bool
+	lessFn, formLessFn tuple.Less
+
+	tables  []tuple.Table // per And/Or node: kept tuples and their derivations
+	gateIdx []int32       // per node: the table index chosen at gate formation
+	formed  []tuple.Tuple // per node: cumulative totals of the formed gate
+	hasGate []bool
 }
 
 // tupleCost maps a tuple's components to the scalar the configured
@@ -169,15 +177,15 @@ type engine struct {
 func (e *engine) tupleCost(t tuple.Tuple) int {
 	switch e.cfg.Objective {
 	case Depth:
-		c := e.cfg.DepthWeight * t.Depth
+		c := e.cfg.DepthWeight * int(t.Depth)
 		if e.cfg.trackDischarges {
-			c += t.NDisch
+			c += int(t.NDisch)
 		}
 		return c
 	default:
-		c := t.NTrans + e.cfg.ClockWeight*t.NClock
+		c := int(t.NTrans) + e.cfg.ClockWeight*int(t.NClock)
 		if e.cfg.trackDischarges {
-			c += e.cfg.ClockWeight * t.NDisch
+			c += e.cfg.ClockWeight * int(t.NDisch)
 		}
 		return c
 	}
@@ -247,13 +255,8 @@ func (e *engine) forcedRoot(id int) bool {
 }
 
 // leafTuple is the single {1,1} sub-solution of a mapping leaf.
-func (e *engine) leafTuple(id int) tuple.Tuple {
-	return tuple.Tuple{
-		W: 1, H: 1,
-		NTrans: 1,
-		HasPI:  true,
-		Deriv:  tuple.Deriv{Op: tuple.DerivLeaf, Leaf: id},
-	}
+func leafTuple() tuple.Tuple {
+	return tuple.Tuple{W: 1, H: 1, NTrans: 1, HasPI: true}
 }
 
 // gateAsInput is the {1,1} sub-solution that uses the child's completed
@@ -263,13 +266,8 @@ func (e *engine) leafTuple(id int) tuple.Tuple {
 // charged; for single-fanout children the full gate cost rides along so
 // the DP can trade early gate formation against larger pulldowns.
 func (e *engine) gateAsInput(id int) tuple.Tuple {
-	f := e.formed[id]
-	t := tuple.Tuple{
-		W: 1, H: 1,
-		NTrans: 1,
-		Depth:  f.Depth,
-		Deriv:  tuple.Deriv{Op: tuple.DerivGateInput, Leaf: id},
-	}
+	f := &e.formed[id]
+	t := tuple.Tuple{W: 1, H: 1, NTrans: 1, Depth: f.Depth}
 	if !e.forcedRoot(id) {
 		t.NTrans += f.NTrans
 		t.NClock = f.NClock
@@ -286,66 +284,54 @@ type cand struct {
 }
 
 // usable enumerates the sub-solutions a parent may draw from child id, in
-// deterministic order.
-func (e *engine) usable(id int) ([]cand, error) {
+// deterministic (table) order, appending them to buf[:0].
+func (e *engine) usable(id int, buf []cand) ([]cand, error) {
+	out := buf[:0]
 	if e.isLeaf(id) {
-		t := e.leafTuple(id)
-		return []cand{{t, tuple.Choice{Node: id, Key: t.Key()}}}, nil
+		return append(out, cand{leafTuple(), tuple.Choice{Node: int32(id)}}), nil
 	}
 	if !e.hasGate[id] {
 		return nil, fmt.Errorf("mapper: node %d (%s) is not mappable", id, e.net.Nodes[id].Op)
 	}
-	var out []cand
 	if !e.forcedRoot(id) {
-		if e.cfg.Pareto {
-			for _, it := range e.fronts[id].All() {
-				out = append(out, cand{it.Tuple, tuple.Choice{
-					Node: id, Pareto: true, Front: it.FKey, Index: it.Index,
-				}})
-			}
-		} else {
-			tb := e.tables[id]
-			for _, k := range tb.SortedKeys() {
-				out = append(out, cand{tb[k], tuple.Choice{Node: id, Key: k}})
-			}
+		for i, t := range e.tables[id].Tuples {
+			out = append(out, cand{t, tuple.Choice{Node: int32(id), Index: int32(i)}})
 		}
 	}
-	out = append(out, cand{e.gateAsInput(id), tuple.Choice{Node: id, Gate: true}})
-	return out, nil
+	return append(out, cand{e.gateAsInput(id), tuple.Choice{Node: int32(id), Index: tuple.GateIndex}}), nil
 }
 
 // combineOr implements the paper's combine_or: widths add, heights max,
 // costs and p_dis add, par_b becomes true.
-func (e *engine) combineOr(a, b cand) tuple.Tuple {
+func combineOr(a, b *tuple.Tuple) tuple.Tuple {
 	return tuple.Tuple{
-		W:        a.t.W + b.t.W,
-		H:        max(a.t.H, b.t.H),
-		NTrans:   a.t.NTrans + b.t.NTrans,
-		NClock:   a.t.NClock + b.t.NClock,
-		NDisch:   a.t.NDisch + b.t.NDisch,
-		OwnDisch: a.t.OwnDisch + b.t.OwnDisch,
-		NGates:   a.t.NGates + b.t.NGates,
-		Depth:    max(a.t.Depth, b.t.Depth),
-		PDis:     a.t.PDis + b.t.PDis,
+		W:        a.W + b.W,
+		H:        max(a.H, b.H),
+		NTrans:   a.NTrans + b.NTrans,
+		NClock:   a.NClock + b.NClock,
+		NDisch:   a.NDisch + b.NDisch,
+		OwnDisch: a.OwnDisch + b.OwnDisch,
+		NGates:   a.NGates + b.NGates,
+		Depth:    max(a.Depth, b.Depth),
+		PDis:     a.PDis + b.PDis,
 		// The whole result is one parallel stack, so every potential point
 		// belongs to the bottom-most parallel element.
-		PDisBot: a.t.PDis + b.t.PDis,
+		PDisBot: a.PDis + b.PDis,
 		ParB:    true,
-		HasPI:   a.t.HasPI || b.t.HasPI,
-		Deriv:   tuple.Deriv{Op: tuple.DerivOr, A: a.ch, B: b.ch},
+		HasPI:   a.HasPI || b.HasPI,
 	}
 }
 
-// combineAnd implements the paper's combine_and. With reorderStacks the
-// stack order is chosen from par_b and p_dis: a parallel-at-bottom input
-// goes to the bottom (it may reach ground); if both or neither qualify,
-// the larger p_dis goes to the bottom. If the top has a parallel bottom,
-// its potential points plus the new junction are discharged immediately;
-// otherwise the junction joins the potential set.
-func (e *engine) combineAnd(a, b cand) tuple.Tuple {
-	topIsA := true // source order: first operand on top
+// stackOrder decides combine_and's series order, reporting whether a
+// goes on top. With reorderStacks the order is chosen from par_b and
+// p_dis: a parallel-at-bottom input goes to the bottom (it may reach
+// ground); if both or neither qualify, the larger p_dis goes to the
+// bottom. The PBE-blind mappers keep source order or, under
+// OrderHashed, a pseudorandom one.
+func (e *engine) stackOrder(a, b *cand) bool {
 	switch {
 	case e.cfg.reorderStacks:
+		topIsA := true
 		switch {
 		case a.t.ParB && !b.t.ParB:
 			topIsA = false // a goes to the bottom
@@ -354,34 +340,37 @@ func (e *engine) combineAnd(a, b cand) tuple.Tuple {
 		default:
 			topIsA = a.t.PDis <= b.t.PDis // larger p_dis to the bottom
 		}
-		if faultInvertSOIReorder.Load() || e.faults.Flip(PointInvertReorder) {
+		if e.faults.Flip(PointInvertReorder) {
 			topIsA = !topIsA // test-only fault injection; see fault.go
 		}
+		return topIsA
 	case e.cfg.BaselineStackOrder == OrderHashed:
-		topIsA = mixChoices(a.ch, b.ch)&1 == 0
+		return mixChoices(a, b)&1 == 0
 	}
-	return e.combineAndOrdered(a, b, topIsA)
+	return true // source order: first operand on top
 }
 
-// combineAndOrdered is combineAnd with the stack order fixed by the
-// caller; the Pareto mode emits both orders and lets dominance decide.
-func (e *engine) combineAndOrdered(a, b cand, topIsA bool) tuple.Tuple {
-	top, bottom := a.t, b.t
+// combineAnd implements the paper's combine_and with the stack order
+// fixed by the caller (stackOrder, or both orders in Pareto mode). If the
+// top has a parallel bottom, its potential points plus the new junction
+// are discharged immediately; otherwise the junction joins the potential
+// set.
+func combineAnd(a, b *tuple.Tuple, topIsA bool) tuple.Tuple {
+	top, bottom := a, b
 	if !topIsA {
-		top, bottom = b.t, a.t
+		top, bottom = b, a
 	}
 	t := tuple.Tuple{
-		W:        max(a.t.W, b.t.W),
-		H:        a.t.H + b.t.H,
-		NTrans:   a.t.NTrans + b.t.NTrans,
-		NClock:   a.t.NClock + b.t.NClock,
-		NDisch:   a.t.NDisch + b.t.NDisch,
-		OwnDisch: a.t.OwnDisch + b.t.OwnDisch,
-		NGates:   a.t.NGates + b.t.NGates,
-		Depth:    max(a.t.Depth, b.t.Depth),
+		W:        max(a.W, b.W),
+		H:        a.H + b.H,
+		NTrans:   a.NTrans + b.NTrans,
+		NClock:   a.NClock + b.NClock,
+		NDisch:   a.NDisch + b.NDisch,
+		OwnDisch: a.OwnDisch + b.OwnDisch,
+		NGates:   a.NGates + b.NGates,
+		Depth:    max(a.Depth, b.Depth),
 		ParB:     bottom.ParB,
-		HasPI:    a.t.HasPI || b.t.HasPI,
-		Deriv:    tuple.Deriv{Op: tuple.DerivAnd, A: a.ch, B: b.ch, TopIsA: topIsA},
+		HasPI:    a.HasPI || b.HasPI,
 	}
 	if top.ParB {
 		// The top's bottom-most parallel stack can never reach ground: its
@@ -408,17 +397,33 @@ func (e *engine) combineAndOrdered(a, b cand, topIsA bool) tuple.Tuple {
 // scheduling, as the byte-identical determinism contract requires.
 const combineCheckInterval = 1024
 
-// nodeCtx carries one worker's context and collectors through the DP.
-// The sequential engine uses a single nodeCtx wired to the run's real
-// collectors; each parallel worker gets a private stats shard and span
-// buffer so node processing never contends, and processParallel merges
-// the shards (and emits the buffered spans in node order) after the
-// pool drains.
+// nodeCtx carries one worker's context, collectors and scratch through
+// the DP. The sequential engine uses a single nodeCtx wired to the run's
+// real collectors; each parallel worker gets a private stats shard and
+// span buffer so node processing never contends, and processParallel
+// merges the shards (and emits the buffered spans in node order) after
+// the pool drains. The scratch — the dense {W,H} table and the
+// two candidate buffers — is reused across every node the worker maps.
 type nodeCtx struct {
 	ctx      context.Context
 	stats    *obs.Stats
 	spans    []obs.PendingSpan // indexed by node id; nil = emit spans directly
 	combines int               // combine calls since the last checkpoint
+
+	table  tableScratch
+	ua, ub []cand
+}
+
+// newNodeCtx returns a worker context with its table scratch, sized by
+// the validated MaxWidth x MaxHeight bound.
+func (e *engine) newNodeCtx(ctx context.Context, stats *obs.Stats) *nodeCtx {
+	nc := &nodeCtx{ctx: ctx, stats: stats}
+	if e.cfg.Pareto {
+		nc.table = tuple.NewFrontier(e.cfg.MaxWidth, e.cfg.MaxHeight, e.tupleCost)
+	} else {
+		nc.table = tuple.NewGrid(e.cfg.MaxWidth, e.cfg.MaxHeight, e.lessFn)
+	}
+	return nc
 }
 
 // process fills the DP tables (paper listing 2), dispatching on the
@@ -432,7 +437,7 @@ func (e *engine) process() error {
 }
 
 func (e *engine) processSequential() error {
-	nc := &nodeCtx{ctx: e.ctx, stats: e.stats}
+	nc := e.newNodeCtx(e.ctx, e.stats)
 	for id := range e.net.Nodes {
 		if err := e.processNode(nc, id); err != nil {
 			return err
@@ -469,56 +474,28 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 		if traced {
 			nodeStart = time.Now()
 		}
-		ua, err := e.usable(node.Fanin[0])
+		var err error
+		if nc.ua, err = e.usable(node.Fanin[0], nc.ua); err != nil {
+			return err
+		}
+		if nc.ub, err = e.usable(node.Fanin[1], nc.ub); err != nil {
+			return err
+		}
+		tb, err := e.fill(nc, id, node.Op)
 		if err != nil {
 			return err
 		}
-		ub, err := e.usable(node.Fanin[1])
-		if err != nil {
-			return err
-		}
-		kept := 0
-		if e.cfg.Pareto {
-			if err := e.processPareto(nc, id, node.Op, ua, ub); err != nil {
-				return err
-			}
-			kept = e.fronts[id].Size()
-		} else {
-			tb := tuple.Table{}
-			for _, a := range ua {
-				for _, b := range ub {
-					var t tuple.Tuple
-					if node.Op == logic.Or {
-						t = e.combineOr(a, b)
-					} else {
-						t = e.combineAnd(a, b)
-					}
-					e.recordCombine(nc.stats, node.Op, t, a.t, b.t)
-					if err := e.combineCheck(nc, id); err != nil {
-						return err
-					}
-					if t.W <= e.cfg.MaxWidth && t.H <= e.cfg.MaxHeight {
-						tb.Insert(t, e.less)
-					}
-				}
-			}
-			if tb.Keys() == 0 {
-				return fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
-					id, e.cfg.MaxWidth, e.cfg.MaxHeight)
-			}
-			e.tables[id] = tb
-			best, _ := tb.Best(e.formLess)
-			e.gateChoice[id] = tuple.Choice{Node: id, Key: best.Key()}
-			e.formed[id] = e.form(best)
-			e.hasGate[id] = true
-			kept = tb.Keys()
-		}
-		nc.stats.AddNode(kept)
+		e.tables[id] = tb
+		best, _ := tb.Best(e.formLessFn)
+		e.gateIdx[id] = int32(best)
+		e.formed[id] = e.form(tb.Tuples[best])
+		e.hasGate[id] = true
+		nc.stats.AddNode(tb.Len())
 		if traced {
 			p := e.tracer.Capture("dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart,
-				obs.KV{Key: "cands_a", Val: int64(len(ua))},
-				obs.KV{Key: "cands_b", Val: int64(len(ub))},
-				obs.KV{Key: "kept", Val: int64(kept)})
+				obs.KV{Key: "cands_a", Val: int64(len(nc.ua))},
+				obs.KV{Key: "cands_b", Val: int64(len(nc.ub))},
+				obs.KV{Key: "kept", Val: int64(tb.Len())})
 			if nc.spans != nil {
 				nc.spans[id] = p
 			} else {
@@ -529,6 +506,69 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 		return fmt.Errorf("mapper: node %d has unsupported op %s", id, node.Op)
 	}
 	return nil
+}
+
+// tableScratch is the per-worker scratch a node's table is built in:
+// tuple.Grid for the paper's one tuple per {W,H}, tuple.Frontier in
+// Pareto mode.
+type tableScratch interface {
+	Insert(tuple.Tuple, tuple.Deriv) bool
+	Len() int
+	Finish() tuple.Table
+}
+
+// fill runs the node's combine sweep over its candidate cross-product and
+// returns the finished table. The paper's mode composes each AND pair in
+// the order stackOrder picks; Pareto mode emits both orders and lets
+// dominance decide. An error leaves the scratch dirty; it also ends the
+// worker, so no node reuses it.
+func (e *engine) fill(nc *nodeCtx, id int, op logic.Op) (tuple.Table, error) {
+	for i := range nc.ua {
+		a := &nc.ua[i]
+		for j := range nc.ub {
+			b := &nc.ub[j]
+			orders, n := [2]bool{true, false}, 2
+			switch {
+			case op == logic.Or:
+				n = 1 // a parallel composition has no order
+			case !e.cfg.Pareto:
+				orders[0], n = e.stackOrder(a, b), 1
+			}
+			for _, topIsA := range orders[:n] {
+				var t tuple.Tuple
+				if op == logic.Or {
+					t = combineOr(&a.t, &b.t)
+				} else {
+					t = combineAnd(&a.t, &b.t, topIsA)
+				}
+				e.recordCombine(nc.stats, op, topIsA, &t, &a.t, &b.t)
+				if err := e.combineCheck(nc, id); err != nil {
+					return tuple.Table{}, err
+				}
+				nc.table.Insert(t, tuple.Deriv{A: a.ch, B: b.ch, TopIsA: topIsA})
+			}
+		}
+	}
+	if nc.table.Len() == 0 {
+		return tuple.Table{}, fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
+			id, e.cfg.MaxWidth, e.cfg.MaxHeight)
+	}
+	tb := nc.table.Finish()
+	if e.cfg.Pareto && e.cfg.TupleBudget > 0 {
+		e.keptTuples += tb.Len()
+		if e.keptTuples > e.cfg.TupleBudget {
+			e.degraded = true
+		}
+		if e.degraded {
+			// Budget overflow: fall back to the paper's one-tuple-per-shape
+			// heuristic from here on. The run still completes with a valid
+			// (audit-clean) mapping; it just stops exploring frontiers.
+			before := tb.Len()
+			tb = tb.TrimPerKey(e.lessFn)
+			e.keptTuples -= before - tb.Len()
+		}
+	}
+	return tb, nil
 }
 
 // combineCheck is the bounded in-loop cancellation checkpoint, called
@@ -555,80 +595,25 @@ func (e *engine) combineCheck(nc *nodeCtx, id int) error {
 // cumulative OwnDisch totals so the combine functions themselves stay
 // instrumentation-free. st is nil-receiver safe (see obs.Stats), so
 // call sites need no guard.
-func (e *engine) recordCombine(st *obs.Stats, op logic.Op, t, a, b tuple.Tuple) {
+func (e *engine) recordCombine(st *obs.Stats, op logic.Op, topIsA bool, t, a, b *tuple.Tuple) {
 	or := op == logic.Or
-	st.AddCombine(or, !or && !t.Deriv.TopIsA, t.OwnDisch-a.OwnDisch-b.OwnDisch)
-}
-
-// processPareto fills one node's frontier, considering every child
-// frontier entry and, for series composition, both stack orders.
-func (e *engine) processPareto(nc *nodeCtx, id int, op logic.Op, ua, ub []cand) error {
-	fr := tuple.Frontier{}
-	insert := func(t tuple.Tuple) {
-		if t.W <= e.cfg.MaxWidth && t.H <= e.cfg.MaxHeight {
-			fr.Insert(t, e.tupleCost)
-		}
-	}
-	for _, a := range ua {
-		for _, b := range ub {
-			if op == logic.Or {
-				t := e.combineOr(a, b)
-				e.recordCombine(nc.stats, op, t, a.t, b.t)
-				if err := e.combineCheck(nc, id); err != nil {
-					return err
-				}
-				insert(t)
-				continue
-			}
-			for _, topIsA := range [2]bool{true, false} {
-				t := e.combineAndOrdered(a, b, topIsA)
-				e.recordCombine(nc.stats, op, t, a.t, b.t)
-				if err := e.combineCheck(nc, id); err != nil {
-					return err
-				}
-				insert(t)
-			}
-		}
-	}
-	if fr.Size() == 0 {
-		return fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
-			id, e.cfg.MaxWidth, e.cfg.MaxHeight)
-	}
-	if e.cfg.TupleBudget > 0 {
-		e.keptTuples += fr.Size()
-		if e.keptTuples > e.cfg.TupleBudget {
-			e.degraded = true
-		}
-		if e.degraded {
-			// Budget overflow: fall back to the paper's one-tuple-per-shape
-			// heuristic from here on. The run still completes with a valid
-			// (audit-clean) mapping; it just stops exploring frontiers.
-			before := fr.Size()
-			fr.TrimPerKey(e.less)
-			e.keptTuples -= before - fr.Size()
-		}
-	}
-	e.fronts[id] = fr
-	best, _ := fr.Best(e.formLess)
-	e.gateChoice[id] = tuple.Choice{Node: id, Pareto: true, Front: best.FKey, Index: best.Index}
-	e.formed[id] = e.form(best.Tuple)
-	e.hasGate[id] = true
-	return nil
+	st.AddCombine(or, !or && !topIsA, int(t.OwnDisch-a.OwnDisch-b.OwnDisch))
 }
 
 // mixChoices hashes two child choices into a deterministic value, used for
-// the PBE-blind pseudorandom stack order.
-func mixChoices(a, b tuple.Choice) uint64 {
+// the PBE-blind pseudorandom stack order. Each choice contributes its
+// node, the {W,H} of the tuple taken ({0,0} for a completed gate output)
+// and the gate bit.
+func mixChoices(a, b *cand) uint64 {
 	h := uint64(2166136261)
-	for _, v := range []int{a.Node, a.Key.W, a.Key.H, boolInt(a.Gate), b.Node, b.Key.W, b.Key.H, boolInt(b.Gate)} {
-		h = (h ^ uint64(v)) * 16777619
+	for _, c := range [2]*cand{a, b} {
+		w, ht, gate := int(c.t.W), int(c.t.H), 0
+		if c.ch.Gate() {
+			w, ht, gate = 0, 0, 1
+		}
+		for _, v := range [4]int{int(c.ch.Node), w, ht, gate} {
+			h = (h ^ uint64(v)) * 16777619
+		}
 	}
 	return h >> 7
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -3,6 +3,7 @@ package mapper
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,45 +49,42 @@ func fig3Options() Options {
 func TestFigure3Tuples(t *testing.T) {
 	n := fig3Network()
 	// The network is already decomposed and unate.
-	e := &engine{
-		ctx:        context.Background(),
-		cfg:        config{Options: fig3Options(), algorithm: "test"},
-		net:        n,
-		tables:     make([]tuple.Table, n.Len()),
-		gateChoice: make([]tuple.Choice, n.Len()),
-		formed:     make([]tuple.Tuple, n.Len()),
-		hasGate:    make([]bool, n.Len()),
-	}
-	e.fanout = n.ComputeFanout()
-	e.outRefs = n.OutputRefs()
+	e := newEngine(context.Background(), n, config{Options: fig3Options(), algorithm: "test"})
 	if err := e.process(); err != nil {
 		t.Fatal(err)
 	}
 	andNode := 4 // first AND gate
 	at := e.tables[andNode]
-	if at.Keys() != 1 {
-		t.Fatalf("AND table has %d keys, want 1", at.Keys())
+	if at.Len() != 1 {
+		t.Fatalf("AND table has %d keys, want 1", at.Len())
 	}
-	andTuple, ok := at[tuple.Key{W: 1, H: 2}]
-	if !ok || andTuple.NTrans != 2 {
-		t.Fatalf("AND {1,2} tuple = %+v, ok=%v (want cost 2)", andTuple, ok)
+	if andTuple := at.Tuples[0]; andTuple.Key() != (tuple.Key{W: 1, H: 2}) || andTuple.NTrans != 2 {
+		t.Fatalf("AND tuple = %+v (want {1,2} of cost 2)", andTuple)
 	}
 	if cost := e.tupleCost(e.formed[andNode]); cost != 7 {
 		t.Errorf("AND gate cost = %d, want 7 (paper: {1,1,7})", cost)
 	}
 	orNode := 6
 	ot := e.tables[orNode]
-	if tu, ok := ot[tuple.Key{W: 2, H: 2}]; !ok || e.tupleCost(tu) != 4 {
-		t.Errorf("OR {2,2} tuple cost = %d, ok=%v, want 4", e.tupleCost(tu), ok)
+	costOf := func(k tuple.Key) (int, bool) {
+		for _, tu := range ot.Tuples {
+			if tu.Key() == k {
+				return e.tupleCost(tu), true
+			}
+		}
+		return 0, false
 	}
-	if tu, ok := ot[tuple.Key{W: 2, H: 1}]; !ok || e.tupleCost(tu) != 16 {
-		t.Errorf("OR {2,1} both-gates tuple cost = %d, ok=%v, want 16", e.tupleCost(tu), ok)
+	if c, ok := costOf(tuple.Key{W: 2, H: 2}); !ok || c != 4 {
+		t.Errorf("OR {2,2} tuple cost = %d, ok=%v, want 4", c, ok)
+	}
+	if c, ok := costOf(tuple.Key{W: 2, H: 1}); !ok || c != 16 {
+		t.Errorf("OR {2,1} both-gates tuple cost = %d, ok=%v, want 16", c, ok)
 	}
 	if cost := e.tupleCost(e.formed[orNode]); cost != 9 {
 		t.Errorf("final gate cost = %d, want 9 (paper: {1,1,9})", cost)
 	}
-	if e.gateChoice[orNode].Key != (tuple.Key{W: 2, H: 2}) {
-		t.Errorf("gate formed from %v, want {2,2}", e.gateChoice[orNode].Key)
+	if k := ot.Tuples[e.gateIdx[orNode]].Key(); k != (tuple.Key{W: 2, H: 2}) {
+		t.Errorf("gate formed from %v, want {2,2}", k)
 	}
 }
 
@@ -311,11 +309,40 @@ func TestOptionsValidation(t *testing.T) {
 		{MaxWidth: 5, MaxHeight: 1, ClockWeight: 1, DepthWeight: 1},
 		{MaxWidth: 5, MaxHeight: 8, ClockWeight: 0, DepthWeight: 1},
 		{MaxWidth: 5, MaxHeight: 8, ClockWeight: 1, DepthWeight: 0, Objective: Depth},
+		{MaxWidth: MaxShape + 1, MaxHeight: 8, ClockWeight: 1, DepthWeight: 1},
+		{MaxWidth: 5, MaxHeight: MaxShape + 1, ClockWeight: 1, DepthWeight: 1},
 	}
 	for i, opt := range bad {
 		if _, err := DominoMap(n, opt); err == nil {
 			t.Errorf("options case %d should fail", i)
 		}
+	}
+}
+
+// TestOversizedShapeRejectedWithoutAllocating: the DP's dense scratch is
+// MaxWidth x MaxHeight cells per worker, and both arrive unchecked from
+// service requests, so an absurd shape must fail validation before any
+// scratch exists — a handful of allocations for the error, not gigabytes.
+func TestOversizedShapeRejectedWithoutAllocating(t *testing.T) {
+	n := fig3Network()
+	for _, pareto := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.MaxWidth, opt.MaxHeight = 1<<30, 1<<30
+		opt.Pareto = pareto
+		var err error
+		allocs := testing.AllocsPerRun(5, func() { _, err = SOIDominoMap(n, opt) })
+		if err == nil || !strings.Contains(err.Error(), "MaxWidth/MaxHeight") {
+			t.Fatalf("pareto=%v: got %v, want a MaxWidth/MaxHeight validation error", pareto, err)
+		}
+		if allocs > 8 {
+			t.Errorf("pareto=%v: rejecting an oversized shape made %.0f allocations", pareto, allocs)
+		}
+	}
+	// The cap itself is accepted.
+	opt := DefaultOptions()
+	opt.MaxWidth, opt.MaxHeight = MaxShape, MaxShape
+	if _, err := SOIDominoMap(n, opt); err != nil {
+		t.Fatalf("MaxShape x MaxShape rejected: %v", err)
 	}
 }
 
@@ -458,17 +485,8 @@ func TestDPPredictsDischarges(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reconstruct the DP totals for the root gate.
-		e := &engine{
-			ctx:        context.Background(),
-			cfg:        config{Options: opt, algorithm: "x", trackDischarges: true, reorderStacks: true},
-			net:        n,
-			tables:     make([]tuple.Table, n.Len()),
-			gateChoice: make([]tuple.Choice, n.Len()),
-			formed:     make([]tuple.Tuple, n.Len()),
-			hasGate:    make([]bool, n.Len()),
-		}
-		e.fanout = n.ComputeFanout()
-		e.outRefs = n.OutputRefs()
+		e := newEngine(context.Background(), n,
+			config{Options: opt, algorithm: "x", trackDischarges: true, reorderStacks: true})
 		if err := e.process(); err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +494,7 @@ func TestDPPredictsDischarges(t *testing.T) {
 		if n.Nodes[root].Op == logic.Input {
 			continue
 		}
-		predicted := e.formed[root].NDisch
+		predicted := int(e.formed[root].NDisch)
 		if predicted != res.Stats.TDisch {
 			t.Fatalf("trial %d: DP predicts %d discharges, netlist has %d\n%s",
 				trial, predicted, res.Stats.TDisch, res.Dump())

@@ -57,8 +57,8 @@ const (
 // Options configures a mapping run. The zero value is not valid; use
 // DefaultOptions or fill every field.
 type Options struct {
-	// MaxWidth and MaxHeight bound the pulldown network of a single gate.
-	// The paper uses 5 and 8 for SOI (§VI).
+	// MaxWidth and MaxHeight bound the pulldown network of a single gate,
+	// each within [2, MaxShape]. The paper uses 5 and 8 for SOI (§VI).
 	MaxWidth, MaxHeight int
 	// Objective is the cost to minimize.
 	Objective Objective
@@ -136,10 +136,16 @@ func DefaultOptions() Options {
 	}
 }
 
+// MaxShape caps MaxWidth and MaxHeight. Each DP worker keeps a dense
+// MaxWidth x MaxHeight scratch table, and both values arrive unchecked
+// from service requests, so the cap bounds that allocation; it is far
+// above any practical domino pulldown (the paper uses 5 x 8).
+const MaxShape = 64
+
 func (o Options) validate() error {
-	if o.MaxWidth < 2 || o.MaxHeight < 2 {
-		return fmt.Errorf("mapper: MaxWidth/MaxHeight must be at least 2 (got %d, %d)",
-			o.MaxWidth, o.MaxHeight)
+	if o.MaxWidth < 2 || o.MaxHeight < 2 || o.MaxWidth > MaxShape || o.MaxHeight > MaxShape {
+		return fmt.Errorf("mapper: MaxWidth/MaxHeight must be in [2, %d] (got %d, %d)",
+			MaxShape, o.MaxWidth, o.MaxHeight)
 	}
 	if o.ClockWeight < 1 {
 		return fmt.Errorf("mapper: ClockWeight must be >= 1 (got %d)", o.ClockWeight)

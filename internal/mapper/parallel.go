@@ -59,7 +59,7 @@ type nodeError struct {
 // exists (indegree counting over the fanin DAG — no global level
 // barriers), so independent cones map concurrently. Determinism comes
 // from the state layout, not from ordering: every per-node slot
-// (tables, fronts, formed, gateChoice, hasGate) is written by exactly
+// (tables, gateIdx, formed, hasGate) is written by exactly
 // one task, all tie-breaking reads only finished fanin tables, each
 // worker records into a private stats shard and span buffer, and the
 // shards are merged — all counters commutative, the high-water mark a
@@ -112,11 +112,12 @@ func (e *engine) processParallel(workers int) error {
 	shards := make([]*obs.Stats, workers)
 	spanBufs := make([][]obs.PendingSpan, workers)
 	for w := 0; w < workers; w++ {
-		nc := &nodeCtx{ctx: ctx}
+		var shard *obs.Stats
 		if e.stats != nil {
-			nc.stats = new(obs.Stats)
-			shards[w] = nc.stats
+			shard = new(obs.Stats)
+			shards[w] = shard
 		}
+		nc := e.newNodeCtx(ctx, shard)
 		if e.tracer != nil {
 			nc.spans = make([]obs.PendingSpan, n)
 			spanBufs[w] = nc.spans

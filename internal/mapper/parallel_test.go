@@ -249,7 +249,7 @@ func TestNilStatsSmoke(t *testing.T) {
 	}
 	// The helper itself must also be callable with a nil collector.
 	e := &engine{}
-	e.recordCombine(nil, logic.Or, tuple.Tuple{}, tuple.Tuple{}, tuple.Tuple{})
+	e.recordCombine(nil, logic.Or, true, &tuple.Tuple{}, &tuple.Tuple{}, &tuple.Tuple{})
 }
 
 // TestWorkersValidation: negative worker counts are rejected up front.

@@ -61,14 +61,10 @@ func (b *builder) gate(nodeID int) (int, error) {
 		// single-transistor buffer gate.
 		tree = b.leafTree(nodeID)
 	case b.e.hasGate[nodeID]:
-		ch := b.e.gateChoice[nodeID]
-		t, ok := b.chosenTuple(ch)
-		if !ok {
-			return 0, fmt.Errorf("mapper: node %d has no tuple for choice %+v", ch.Node, ch)
-		}
-		predicted = t.OwnDisch
+		idx := b.e.gateIdx[nodeID]
+		predicted = int(b.e.tables[nodeID].Tuples[idx].OwnDisch)
 		var err error
-		tree, err = b.structure(ch)
+		tree, err = b.structure(tuple.Choice{Node: int32(nodeID), Index: idx})
 		if err != nil {
 			return 0, err
 		}
@@ -109,63 +105,43 @@ func (b *builder) gate(nodeID int) (int, error) {
 	return gid, nil
 }
 
-// chosenTuple resolves a Choice to its tuple record.
-func (b *builder) chosenTuple(ch tuple.Choice) (tuple.Tuple, bool) {
-	if ch.Pareto {
-		return b.e.fronts[ch.Node].Lookup(ch.Front, ch.Index)
-	}
-	t, ok := b.e.tables[ch.Node][ch.Key]
-	return t, ok
-}
-
-// structure rebuilds the SP tree for the chosen tuple of a node.
+// structure rebuilds the SP tree of a node's table entry from its
+// derivation; the node's operator says whether the two children compose
+// in parallel or in series.
 func (b *builder) structure(ch tuple.Choice) (*sp.Tree, error) {
-	t, ok := b.chosenTuple(ch)
-	if !ok {
+	tb := &b.e.tables[ch.Node]
+	if ch.Index < 0 || int(ch.Index) >= tb.Len() {
 		return nil, fmt.Errorf("mapper: node %d has no tuple for choice %+v", ch.Node, ch)
 	}
-	switch t.Deriv.Op {
-	case tuple.DerivLeaf:
-		return b.leafTree(t.Deriv.Leaf), nil
-	case tuple.DerivOr:
-		a, err := b.resolve(t.Deriv.A)
-		if err != nil {
-			return nil, err
-		}
-		c, err := b.resolve(t.Deriv.B)
-		if err != nil {
-			return nil, err
-		}
-		return sp.NewParallel(a, c), nil
-	case tuple.DerivAnd:
-		a, err := b.resolve(t.Deriv.A)
-		if err != nil {
-			return nil, err
-		}
-		c, err := b.resolve(t.Deriv.B)
-		if err != nil {
-			return nil, err
-		}
-		if t.Deriv.TopIsA {
-			return sp.NewSeries(a, c), nil
-		}
-		return sp.NewSeries(c, a), nil
+	d := tb.Derivs[ch.Index]
+	a, err := b.resolve(d.A)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("mapper: node %d tuple for %+v has unexpected derivation %d",
-		ch.Node, ch, t.Deriv.Op)
+	c, err := b.resolve(d.B)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case b.e.net.Nodes[ch.Node].Op == logic.Or:
+		return sp.NewParallel(a, c), nil
+	case d.TopIsA:
+		return sp.NewSeries(a, c), nil
+	}
+	return sp.NewSeries(c, a), nil
 }
 
 // resolve materializes one child Choice as a subtree.
 func (b *builder) resolve(ch tuple.Choice) (*sp.Tree, error) {
-	if ch.Gate {
-		gid, err := b.gate(ch.Node)
+	if ch.Gate() {
+		gid, err := b.gate(int(ch.Node))
 		if err != nil {
 			return nil, err
 		}
 		return sp.NewLeaf(b.res.Gates[gid].Output, false, gid), nil
 	}
-	if b.e.isLeaf(ch.Node) {
-		return b.leafTree(ch.Node), nil
+	if b.e.isLeaf(int(ch.Node)) {
+		return b.leafTree(int(ch.Node)), nil
 	}
 	return b.structure(ch)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -248,6 +249,37 @@ func TestPeerCacheResponseCapped(t *testing.T) {
 	}
 	if n := s.metrics.counter("cluster_cache_peer_hits"); n != 0 {
 		t.Errorf("cluster_cache_peer_hits = %d, want 0", n)
+	}
+}
+
+// TestPeerMissReusesConnection: a peer-cache miss (404 with a JSON
+// error body) must leave its keep-alive connection reusable, so two
+// consecutive misses against one peer open a single connection instead
+// of leaving a TIME_WAIT socket behind per lookup.
+func TestPeerMissReusesConnection(t *testing.T) {
+	peer := New(Config{Workers: 1})
+	defer peer.Shutdown(context.Background())
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(peer.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	s := New(Config{Workers: 1, PeerTimeout: 2 * time.Second,
+		PeerHTTPClient: &http.Client{Transport: &http.Transport{}}})
+	defer s.Shutdown(context.Background())
+	for i := 0; i < 2; i++ {
+		res, err := s.peerFetchOne(context.Background(), ts.URL+"/v1/cache?key=absent")
+		if res != nil || err != nil {
+			t.Fatalf("lookup %d: got %v, %v; want a clean miss", i, res, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("two peer misses opened %d connections, want 1", n)
 	}
 }
 

@@ -139,6 +139,16 @@ func (j *job) finish(state JobState, res *MapResult, errMsg string) bool {
 	return true
 }
 
+// isDone reports whether the job has reached a terminal state.
+func (j *job) isDone() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // outcome snapshots the job's terminal state for propagation to a
 // coalesced follower. Call only after done is closed.
 func (j *job) outcome() (JobState, *MapResult, string) {

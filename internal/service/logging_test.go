@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // syncBuffer lets the handler goroutines and the test share one log sink.
@@ -49,7 +50,14 @@ func TestRequestIDAndAccessLog(t *testing.T) {
 		t.Fatalf("map failed: code %d, state %s (%s)", code, v.State, v.Error)
 	}
 
+	// The worker logs "job finished" after it has released the response,
+	// so on several processors the line can trail the client.
 	logs := sink.String()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logs, "msg=\"job finished\"") && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		logs = sink.String()
+	}
 	if !strings.Contains(logs, "request_id="+id) {
 		t.Errorf("access log missing request_id=%s:\n%s", id, logs)
 	}

@@ -3,11 +3,13 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,8 +235,10 @@ func TestJanitorCompactsJournalAndStore(t *testing.T) {
 	if v1.State != JobDone || v2.State != JobDone {
 		t.Fatalf("submissions: %s / %s", v1.State, v2.State)
 	}
+	// Both jobs must leave the journal: three records each (accepted,
+	// running, done). The janitor may evict them in different ticks.
 	deadline := time.Now().Add(5 * time.Second)
-	for s1.Counter("jobs_journal_compacted") == 0 || s1.Counter("store_evicted") == 0 {
+	for s1.Counter("jobs_journal_compacted") < 6 || s1.Counter("store_evicted") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("janitor never compacted: journal %d, store %d",
 				s1.Counter("jobs_journal_compacted"), s1.Counter("store_evicted"))
@@ -292,6 +296,86 @@ func TestJournalFsyncFaultDegradesNotFails(t *testing.T) {
 	}
 	if n := s.Counter("store_write_errors"); n < 1 {
 		t.Fatalf("store_write_errors = %d, want > 0", n)
+	}
+}
+
+// TestJournalRecordsCarryJobIDs pins the job-id publication order: a
+// worker may pop a job the instant handleMap queues it and journal its
+// running record straight away, so the job must own its id before the
+// send. Every record a burst of concurrent submissions journals must
+// name a submitted job and carry that job's key (run under -race, the
+// detector also watches the id field itself).
+func TestJournalRecordsCarryJobIDs(t *testing.T) {
+	dir := t.TempDir()
+	s := New(Config{Workers: 4, StateDir: dir, JournalFsync: "off"})
+	ts := newPersistHTTP(t, s)
+
+	var bodies []string
+	for _, circuit := range []string{"mux", "z4ml"} {
+		for _, algo := range []string{"domino", "rs", "rsdeep", "soi"} {
+			for height := 4; height <= 9; height++ {
+				bodies = append(bodies, fmt.Sprintf(
+					`{"circuit": %q, "algorithm": %q, "options": {"max_height": %d}, "async": true}`,
+					circuit, algo, height))
+			}
+		}
+	}
+	ids := make([]string, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("POST: %v", err)
+				return
+			}
+			defer resp.Body.Close()
+			var v JobView
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Errorf("submit %d: code %d, decode %v", i, resp.StatusCode, err)
+				return
+			}
+			ids[i] = v.ID
+		}()
+	}
+	wg.Wait()
+	ts.Close()
+	shutdownNow(t, s) // drains the queue: every job reaches a terminal record
+
+	_, rep, err := store.OpenJournal(dir, store.SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BadRecords != 0 || rep.TornRegions != 0 {
+		t.Fatalf("journal replay: %d bad records (empty id), %d torn regions", rep.BadRecords, rep.TornRegions)
+	}
+	submitted := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		submitted[id] = true
+	}
+	keys := make(map[string]string)
+	types := make(map[string][]string)
+	for _, rec := range rep.Records {
+		if !submitted[rec.ID] {
+			t.Fatalf("journal record %+v names no submitted job", rec)
+		}
+		if rec.Key != "" {
+			if k, ok := keys[rec.ID]; ok && k != rec.Key {
+				t.Fatalf("job %s journaled under two keys", rec.ID)
+			}
+			keys[rec.ID] = rec.Key
+		}
+		types[rec.ID] = append(types[rec.ID], rec.Type)
+	}
+	for _, id := range ids {
+		got := strings.Join(types[id], ",")
+		for _, want := range []string{store.RecAccepted, store.RecRunning, store.RecDone} {
+			if !strings.Contains(got, want) {
+				t.Errorf("job %s journaled %q, missing %s", id, got, want)
+			}
+		}
 	}
 }
 

@@ -659,9 +659,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// Singleflight: an identical submission already queued or running
 	// makes this one a follower — it gets its own job id and (byte-
 	// identical) copy of the leader's outcome without consuming a queue
-	// slot or a DP run. A thundering herd of one key maps once.
+	// slot or a DP run. A thundering herd of one key maps once. A leader
+	// that has finished but not yet left the inflight table is not
+	// followed: its outcome (a failure, say) belongs to an earlier
+	// submission, and this one maps afresh.
 	s.mu.Lock()
-	if leader, ok := s.inflight[j.cacheKey]; ok {
+	if leader, ok := s.inflight[j.cacheKey]; ok && !leader.isDone() {
 		j.coalesced = true
 		s.registerJobLocked(j)
 		s.mu.Unlock()
@@ -703,9 +706,12 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is shutting down"})
 		return
 	}
+	// The job gets its id before the send: a worker may pop and run it
+	// (journaling its running record under j.id) before this goroutine
+	// runs again.
+	s.registerJobLocked(j)
 	select {
 	case s.queue <- j:
-		s.registerJobLocked(j)
 		s.inflight[j.cacheKey] = j
 		s.mu.Unlock()
 		s.metrics.jobsQueued.Add(1)
@@ -713,6 +719,10 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// here on re-admits the job instead of 404ing its poller.
 		s.journalAccepted(ctx, j, &req)
 	default:
+		// Rejected: unregister it and hand its id back, so ids stay
+		// dense over accepted jobs.
+		delete(s.jobs, j.id)
+		s.nextID--
 		s.mu.Unlock()
 		s.metrics.add("jobs_rejected", 1)
 		// A full queue is transient overload: 429 plus a drain-time
@@ -929,6 +939,10 @@ func (s *Server) peerFetch(ctx context.Context, key string) *MapResult {
 	return nil
 }
 
+// peerDrainBytes bounds how much of an unused peer reply is read before
+// closing it, to keep the connection alive.
+const peerDrainBytes = 4 << 10
+
 func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error) {
 	pctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
 	defer cancel()
@@ -948,7 +962,13 @@ func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// A body closed unread costs the connection: drain the short
+		// JSON of a 404 or error reply (bounded, against a sick peer) so
+		// the next lookup reuses the keep-alive connection.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, peerDrainBytes))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusNotFound {
 		return nil, nil
 	}
@@ -1059,7 +1079,9 @@ func (s *Server) runJob(j *job) {
 		s.metrics.add("jobs_failed", 1)
 		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
 		j.finish(JobFailed, nil, fmt.Sprintf("internal panic: %v [%s]", r, redactStack(stack)))
-		s.journalTerminal(ctx, j, JobFailed, "internal panic")
+		// The journal keeps the panic value (not the stack), so a job
+		// re-served after a restart still says what failed it.
+		s.journalTerminal(ctx, j, JobFailed, fmt.Sprintf("internal panic: %v", r))
 		s.logger.Error("job panicked",
 			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
 			"algorithm", j.algo, "panic", fmt.Sprint(r), "stack", string(stack),

@@ -4,9 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
-func areaCost(t Tuple) int { return t.NTrans + t.NClock + t.NDisch }
+func areaCost(t Tuple) int { return int(t.NTrans + t.NClock + t.NDisch) }
 
 // areaLess mirrors the SOI mapper's ordering: cost, then p_dis.
 func areaLess(a, b Tuple) bool {
@@ -14,6 +15,16 @@ func areaLess(a, b Tuple) bool {
 		return ca < cb
 	}
 	return a.PDis < b.PDis
+}
+
+// entryOf returns the finished table's tuple for key k.
+func entryOf(tb Table, k Key) (Tuple, Deriv, bool) {
+	for i, t := range tb.Tuples {
+		if t.Key() == k {
+			return t, tb.Derivs[i], true
+		}
+	}
+	return Tuple{}, Deriv{}, false
 }
 
 func TestKeyString(t *testing.T) {
@@ -29,144 +40,182 @@ func TestTupleKey(t *testing.T) {
 	}
 }
 
+// TestStateSizes pins the compact layout the combine loop copies: a
+// pointer-free 40-byte tuple and a 20-byte derivation.
+func TestStateSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Tuple{}); n != 40 {
+		t.Errorf("sizeof(Tuple) = %d, want 40", n)
+	}
+	if n := unsafe.Sizeof(Deriv{}); n != 20 {
+		t.Errorf("sizeof(Deriv) = %d, want 20", n)
+	}
+}
+
 func TestInsertKeepsBest(t *testing.T) {
-	tb := Table{}
-	if !tb.Insert(Tuple{W: 2, H: 2, NTrans: 10}, areaLess) {
+	g := NewGrid(4, 4, areaLess)
+	if !g.Insert(Tuple{W: 2, H: 2, NTrans: 10}, Deriv{A: Choice{Node: 1}}) {
 		t.Error("first insert should succeed")
 	}
-	if !tb.Insert(Tuple{W: 2, H: 2, NTrans: 4}, areaLess) {
+	if !g.Insert(Tuple{W: 2, H: 2, NTrans: 4}, Deriv{A: Choice{Node: 2}}) {
 		t.Error("better insert should succeed")
 	}
-	if tb.Insert(Tuple{W: 2, H: 2, NTrans: 9}, areaLess) {
+	if g.Insert(Tuple{W: 2, H: 2, NTrans: 9}, Deriv{A: Choice{Node: 3}}) {
 		t.Error("worse insert should be rejected")
 	}
-	if got := tb[Key{2, 2}].NTrans; got != 4 {
-		t.Errorf("kept NTrans = %d, want 4", got)
+	if g.Len() != 1 {
+		t.Errorf("Len = %d, want 1", g.Len())
 	}
-	if tb.Keys() != 1 {
-		t.Errorf("Keys = %d, want 1", tb.Keys())
+	tb := g.Finish()
+	got, d, ok := entryOf(tb, Key{2, 2})
+	if !ok || got.NTrans != 4 {
+		t.Errorf("kept NTrans = %d, want 4", got.NTrans)
+	}
+	if d.A.Node != 2 {
+		t.Errorf("kept derivation from node %d, want the winner's (2)", d.A.Node)
+	}
+	if tb.Len() != 1 || len(tb.Derivs) != 1 {
+		t.Errorf("table sizes %d/%d, want 1/1", tb.Len(), len(tb.Derivs))
 	}
 }
 
 func TestInsertTieKeepsIncumbent(t *testing.T) {
-	tb := Table{}
+	g := NewGrid(4, 4, areaLess)
 	first := Tuple{W: 2, H: 2, NTrans: 4, NGates: 1}
 	second := Tuple{W: 2, H: 2, NTrans: 4, NGates: 2}
-	tb.Insert(first, areaLess)
-	if tb.Insert(second, areaLess) {
+	g.Insert(first, Deriv{})
+	if g.Insert(second, Deriv{}) {
 		t.Error("tie should keep the incumbent")
 	}
-	if tb[Key{2, 2}].NGates != 1 {
+	if got, _, _ := entryOf(g.Finish(), Key{2, 2}); got.NGates != 1 {
 		t.Error("incumbent replaced on tie")
 	}
 }
 
 func TestInsertPDisTieBreak(t *testing.T) {
-	tb := Table{}
-	tb.Insert(Tuple{W: 2, H: 2, NTrans: 4, PDis: 3}, areaLess)
-	if !tb.Insert(Tuple{W: 2, H: 2, NTrans: 4, PDis: 1}, areaLess) {
+	g := NewGrid(4, 4, areaLess)
+	g.Insert(Tuple{W: 2, H: 2, NTrans: 4, PDis: 3}, Deriv{})
+	if !g.Insert(Tuple{W: 2, H: 2, NTrans: 4, PDis: 1}, Deriv{}) {
 		t.Error("lower p_dis at equal cost should win (paper's tie-break)")
 	}
-	if tb[Key{2, 2}].PDis != 1 {
+	if got, _, _ := entryOf(g.Finish(), Key{2, 2}); got.PDis != 1 {
 		t.Error("p_dis tie-break not applied")
 	}
 }
 
 func TestInsertSeparateKeys(t *testing.T) {
-	tb := Table{}
-	tb.Insert(Tuple{W: 1, H: 2, NTrans: 2}, areaLess)
-	tb.Insert(Tuple{W: 2, H: 1, NTrans: 9}, areaLess)
-	if tb.Keys() != 2 {
-		t.Errorf("Keys = %d, want 2", tb.Keys())
+	g := NewGrid(4, 4, areaLess)
+	g.Insert(Tuple{W: 1, H: 2, NTrans: 2}, Deriv{})
+	g.Insert(Tuple{W: 2, H: 1, NTrans: 9}, Deriv{})
+	if g.Len() != 2 {
+		t.Errorf("Len = %d, want 2", g.Len())
+	}
+	// Out-of-bounds shapes are rejected, not stored.
+	if g.Insert(Tuple{W: 5, H: 1}, Deriv{}) || g.Insert(Tuple{W: 1, H: 5}, Deriv{}) {
+		t.Error("insert beyond the grid's bounds accepted")
 	}
 }
 
 func TestBestEmptyTable(t *testing.T) {
-	tb := Table{}
-	if _, ok := tb.Best(areaLess); ok {
+	if _, ok := NewGrid(2, 2, areaLess).Finish().Best(areaLess); ok {
 		t.Error("Best on empty table should report false")
 	}
 }
 
 func TestBestPicksMinimum(t *testing.T) {
-	tb := Table{}
-	tb.Insert(Tuple{W: 1, H: 2, NTrans: 7}, areaLess)
-	tb.Insert(Tuple{W: 2, H: 2, NTrans: 4}, areaLess)
-	tb.Insert(Tuple{W: 2, H: 1, NTrans: 16}, areaLess)
+	g := NewGrid(4, 4, areaLess)
+	g.Insert(Tuple{W: 1, H: 2, NTrans: 7}, Deriv{})
+	g.Insert(Tuple{W: 2, H: 2, NTrans: 4}, Deriv{})
+	g.Insert(Tuple{W: 2, H: 1, NTrans: 16}, Deriv{})
+	tb := g.Finish()
 	best, ok := tb.Best(areaLess)
-	if !ok || best.NTrans != 4 {
-		t.Errorf("Best = %+v, ok=%v", best, ok)
+	if !ok || tb.Tuples[best].NTrans != 4 {
+		t.Errorf("Best = %+v, ok=%v", tb.Tuples[best], ok)
 	}
 }
 
 func TestBestDeterministicOnFullTie(t *testing.T) {
-	// Identical tuples except W/H: the {W,H}-smallest must win every time.
+	// Identical tuples except W/H, inserted in any order: the
+	// {W,H}-smallest must win every time.
+	rng := rand.New(rand.NewSource(1))
+	keys := []Key{{3, 1}, {1, 3}, {2, 2}}
+	g := NewGrid(4, 4, areaLess)
 	for trial := 0; trial < 50; trial++ {
-		tb := Table{}
-		tb.Insert(Tuple{W: 3, H: 1, NTrans: 4}, areaLess)
-		tb.Insert(Tuple{W: 1, H: 3, NTrans: 4}, areaLess)
-		tb.Insert(Tuple{W: 2, H: 2, NTrans: 4}, areaLess)
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		for _, k := range keys {
+			g.Insert(Tuple{W: k.W, H: k.H, NTrans: 4}, Deriv{})
+		}
+		tb := g.Finish()
 		best, _ := tb.Best(areaLess)
-		if best.W != 1 || best.H != 3 {
-			t.Fatalf("trial %d: Best picked {%d,%d}, want {1,3}", trial, best.W, best.H)
+		if k := tb.Tuples[best].Key(); k != (Key{1, 3}) {
+			t.Fatalf("trial %d: Best picked %v, want {1,3}", trial, k)
 		}
 	}
 }
 
+// TestSortedKeys: a finished table lists its tuples in (W, H) order
+// whatever the insertion order, and Finish leaves the grid empty.
 func TestSortedKeys(t *testing.T) {
-	tb := Table{}
+	g := NewGrid(4, 4, areaLess)
 	for _, k := range []Key{{3, 1}, {1, 2}, {2, 2}, {1, 1}, {2, 1}} {
-		tb.Insert(Tuple{W: k.W, H: k.H}, areaLess)
+		g.Insert(Tuple{W: k.W, H: k.H}, Deriv{})
 	}
-	keys := tb.SortedKeys()
+	tb := g.Finish()
 	want := []Key{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1}}
-	if len(keys) != len(want) {
-		t.Fatalf("keys = %v", keys)
+	if tb.Len() != len(want) {
+		t.Fatalf("table = %v", tb.Tuples)
 	}
 	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("SortedKeys = %v, want %v", keys, want)
+		if tb.Tuples[i].Key() != want[i] {
+			t.Fatalf("table order = %v, want %v", tb.Tuples, want)
 		}
+	}
+	if g.Len() != 0 || g.Finish().Len() != 0 {
+		t.Error("Finish did not empty the grid")
 	}
 }
 
 // Property: Insert never stores a tuple strictly worse than an existing
-// one, Best returns a tuple no worse than any table entry, and SortedKeys
-// is sorted and complete.
+// one, Best returns a tuple no worse than any table entry, and the
+// finished table is in strict (W,H) order with one derivation per tuple.
 func TestTableInvariantsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(9))}
+	g := NewGrid(4, 4, areaLess)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tb := Table{}
+		var all []Tuple
 		for i := 0; i < 30; i++ {
 			tu := Tuple{
-				W:      1 + rng.Intn(4),
-				H:      1 + rng.Intn(4),
-				NTrans: rng.Intn(20),
-				NDisch: rng.Intn(5),
-				PDis:   rng.Intn(5),
+				W:      int16(1 + rng.Intn(4)),
+				H:      int16(1 + rng.Intn(4)),
+				NTrans: int32(rng.Intn(20)),
+				NDisch: int32(rng.Intn(5)),
+				PDis:   int32(rng.Intn(5)),
 			}
-			tb.Insert(tu, areaLess)
+			all = append(all, tu)
+			g.Insert(tu, Deriv{A: Choice{Node: int32(i)}})
 		}
+		tb := g.Finish()
 		best, ok := tb.Best(areaLess)
-		if !ok {
+		if !ok || len(tb.Derivs) != tb.Len() {
 			return false
 		}
-		for _, tu := range tb {
-			if areaLess(tu, best) {
+		for i, tu := range tb.Tuples {
+			if areaLess(tu, tb.Tuples[best]) {
 				return false
 			}
-			if tu.Key() != (Key{tu.W, tu.H}) {
-				return false
+			if all[tb.Derivs[i].A.Node] != tu {
+				return false // derivation does not belong to its tuple
 			}
-		}
-		keys := tb.SortedKeys()
-		if len(keys) != tb.Keys() {
-			return false
-		}
-		for i := 1; i < len(keys); i++ {
-			if !keyLess(keys[i-1], keys[i]) {
-				return false
+			for _, o := range all {
+				if o.Key() == tu.Key() && areaLess(o, tu) {
+					return false
+				}
+			}
+			if i > 0 {
+				p := tb.Tuples[i-1]
+				if p.W > tu.W || (p.W == tu.W && p.H >= tu.H) {
+					return false
+				}
 			}
 		}
 		return true
