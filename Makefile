@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-baseline obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check fmt vet build test race bench bench-baseline obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
-check: vet build race obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+check: fmt vet build race obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+
+# Fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

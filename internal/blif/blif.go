@@ -16,12 +16,15 @@ package blif
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
@@ -52,31 +55,35 @@ func Parse(r io.Reader) (*logic.Network, error) {
 // ParseContext is Parse honoring any fault-injection registry carried by
 // ctx (the parser itself has no cancellation points; parsing is fast).
 func ParseContext(ctx context.Context, r io.Reader) (*logic.Network, error) {
-	if err := faultpoint.From(ctx).Check(ctx, PointParse); err != nil {
-		return nil, fmt.Errorf("blif: %w", err)
+	if err := CheckFault(ctx); err != nil {
+		return nil, err
 	}
-	p := &parser{names: make(map[string]*cover)}
+	p := &parser{names: make(map[string]*cover), patterns: make(map[string]string)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	sc.Buffer(make([]byte, 0, 4096), maxLineBytes)
 	lineno := 0
-	var pending string
+	var pending []byte
 	for sc.Scan() {
 		lineno++
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
+		// line aliases the scanner's buffer (or pending's): everything the
+		// parser keeps from it is copied out before the next Scan.
+		line := sc.Bytes()
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
+		line = bytes.TrimSpace(line)
 		if len(pending)+len(line) > maxLogicalLine {
 			return nil, fmt.Errorf("blif: line %d: continued line exceeds %d bytes", lineno, maxLogicalLine)
 		}
-		if strings.HasSuffix(line, "\\") {
-			pending += strings.TrimSuffix(line, "\\") + " "
+		if bytes.HasSuffix(line, []byte{'\\'}) {
+			pending = append(append(pending, line[:len(line)-1]...), ' ')
 			continue
 		}
-		line = pending + line
-		pending = ""
-		if line == "" {
+		if len(pending) > 0 {
+			line = append(pending, line...)
+			pending = pending[:0]
+		}
+		if len(line) == 0 {
 			continue
 		}
 		if err := p.line(line); err != nil {
@@ -90,6 +97,17 @@ func ParseContext(ctx context.Context, r io.Reader) (*logic.Network, error) {
 		return nil, fmt.Errorf("blif: %w", err)
 	}
 	return p.build()
+}
+
+// CheckFault fires the PointParse fault armed in ctx's registry, if any,
+// and returns the error ParseContext would fail with. A caller that skips
+// parsing a source it has parsed before (a memoized key) calls it in
+// place of the parse, so an armed fault fires exactly as often.
+func CheckFault(ctx context.Context) error {
+	if err := faultpoint.From(ctx).Check(ctx, PointParse); err != nil {
+		return fmt.Errorf("blif: %w", err)
+	}
+	return nil
 }
 
 // ParseString is Parse over a string.
@@ -117,14 +135,34 @@ type parser struct {
 	names   map[string]*cover
 	current *cover
 	ended   bool
+	// patterns interns cover-row patterns: a netlist repeats a handful
+	// of them ("11", "1-", ...) thousands of times.
+	patterns map[string]string
+	// covers and rows are slabs the .names blocks and their rows are cut
+	// from; the current cover's rows are always the tail of rows.
+	covers []cover
+	rows   []row
+
+	// Construction scratch, reused across covers: fanin ids of the
+	// covers being emitted (a stack, since emission recurses), one
+	// product term's literals, one cover's terms, the NOT node shared by
+	// every use of a fanin within one cover (valid where invGen[id] ==
+	// gen), and the backing array the gates' fanin lists are cut from.
+	stack  []int
+	lits   []int
+	terms  []int
+	invGen []uint32
+	invOf  []int
+	gen    uint32
+	arena  []int
 }
 
-func (p *parser) line(line string) error {
-	if !strings.HasPrefix(line, ".") {
+func (p *parser) line(line []byte) error {
+	if line[0] != '.' {
 		return p.coverRow(line)
 	}
 	p.current = nil
-	fields := strings.Fields(line)
+	fields := strings.Fields(string(line))
 	switch fields[0] {
 	case ".model":
 		if len(fields) > 1 {
@@ -138,10 +176,15 @@ func (p *parser) line(line string) error {
 		if len(fields) < 2 {
 			return fmt.Errorf(".names needs at least an output signal")
 		}
-		c := &cover{inputs: fields[1 : len(fields)-1], out: fields[len(fields)-1]}
-		if _, dup := p.names[c.out]; dup {
-			return fmt.Errorf("signal %q defined twice", c.out)
+		out := fields[len(fields)-1]
+		if _, dup := p.names[out]; dup {
+			return fmt.Errorf("signal %q defined twice", out)
 		}
+		if len(p.covers) == cap(p.covers) {
+			p.covers = make([]cover, 0, max(16, 2*cap(p.covers)))
+		}
+		p.covers = append(p.covers, cover{inputs: fields[1 : len(fields)-1], out: out})
+		c := &p.covers[len(p.covers)-1]
 		p.names[c.out] = c
 		p.order = append(p.order, c.out)
 		p.current = c
@@ -155,32 +198,74 @@ func (p *parser) line(line string) error {
 	return nil
 }
 
-func (p *parser) coverRow(line string) error {
+// nextField splits the first field off s, separating fields exactly as
+// strings.Fields does, without allocating.
+func nextField(s []byte) (field, rest []byte) {
+	i := 0
+	for i < len(s) {
+		r, w := decodeRune(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	j := i
+	for j < len(s) {
+		r, w := decodeRune(s[j:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		j += w
+	}
+	return s[i:j], s[j:]
+}
+
+func decodeRune(s []byte) (rune, int) {
+	if s[0] < utf8.RuneSelf {
+		return rune(s[0]), 1
+	}
+	return utf8.DecodeRune(s)
+}
+
+// addRow appends r to the current cover.
+func (p *parser) addRow(r row) {
+	c := p.current
+	p.rows = append(p.rows, r)
+	c.rows = p.rows[len(p.rows)-len(c.rows)-1:]
+}
+
+func (p *parser) coverRow(line []byte) error {
 	if p.current == nil {
 		return fmt.Errorf("cover row %q outside a .names block", line)
 	}
-	fields := strings.Fields(line)
+	f0, rest := nextField(line)
+	f1, rest := nextField(rest)
+	f2, _ := nextField(rest)
 	c := p.current
 	switch {
-	case len(c.inputs) == 0 && len(fields) == 1:
-		v := fields[0]
-		if v != "0" && v != "1" {
-			return fmt.Errorf("constant cover value %q", v)
+	case len(c.inputs) == 0 && len(f1) == 0:
+		if string(f0) != "0" && string(f0) != "1" {
+			return fmt.Errorf("constant cover value %q", f0)
 		}
-		c.rows = append(c.rows, row{value: v[0]})
-	case len(fields) == 2:
-		if len(fields[0]) != len(c.inputs) {
-			return fmt.Errorf("cover row width %d for %d inputs", len(fields[0]), len(c.inputs))
+		p.addRow(row{value: f0[0]})
+	case len(f1) > 0 && len(f2) == 0:
+		if len(f0) != len(c.inputs) {
+			return fmt.Errorf("cover row width %d for %d inputs", len(f0), len(c.inputs))
 		}
-		for _, ch := range fields[0] {
+		for _, ch := range string(f0) {
 			if ch != '0' && ch != '1' && ch != '-' {
 				return fmt.Errorf("bad cover character %q", ch)
 			}
 		}
-		if fields[1] != "0" && fields[1] != "1" {
-			return fmt.Errorf("bad cover output %q", fields[1])
+		if string(f1) != "0" && string(f1) != "1" {
+			return fmt.Errorf("bad cover output %q", f1)
 		}
-		c.rows = append(c.rows, row{pattern: fields[0], value: fields[1][0]})
+		pattern, ok := p.patterns[string(f0)]
+		if !ok {
+			pattern = string(f0)
+			p.patterns[pattern] = pattern
+		}
+		p.addRow(row{pattern: pattern, value: f1[0]})
 	default:
 		return fmt.Errorf("malformed cover row %q", line)
 	}
@@ -195,6 +280,7 @@ func (p *parser) build() (*logic.Network, error) {
 		p.model = "blif"
 	}
 	n := logic.New(p.model)
+	n.Grow(len(p.inputs) + 2*len(p.order))
 	ids := make(map[string]int, len(p.inputs)+len(p.names))
 	for _, in := range p.inputs {
 		if _, dup := ids[in]; dup {
@@ -220,19 +306,19 @@ func (p *parser) build() (*logic.Network, error) {
 			return -1, fmt.Errorf("blif: signal %q nested deeper than %d", name, maxEmitDepth)
 		}
 		visiting[name] = true
-		faninIDs := make([]int, len(c.inputs))
-		for i, in := range c.inputs {
+		// This cover's fanin ids sit on the stack above base; the
+		// recursive emits push and pop only above them.
+		base := len(p.stack)
+		for _, in := range c.inputs {
 			id, err := emit(in, depth+1)
 			if err != nil {
 				return -1, err
 			}
-			faninIDs[i] = id
+			p.stack = append(p.stack, id)
 		}
 		delete(visiting, name)
-		id, err := buildCover(n, c, faninIDs)
-		if err != nil {
-			return -1, err
-		}
+		id := p.buildCover(n, c, p.stack[base:])
+		p.stack = p.stack[:base]
 		n.Nodes[id].Name = name
 		ids[name] = id
 		return id, nil
@@ -255,58 +341,81 @@ func (p *parser) build() (*logic.Network, error) {
 	return n, n.Check()
 }
 
+// gate adds op over a copy of fanin cut from the parser's arena.
+func (p *parser) gate(n *logic.Network, op logic.Op, fanin ...int) int {
+	if cap(p.arena)-len(p.arena) < len(fanin) {
+		p.arena = make([]int, 0, max(4096, len(fanin)))
+	}
+	start := len(p.arena)
+	p.arena = append(p.arena, fanin...)
+	return n.AddGateOwned(op, p.arena[start:len(p.arena):len(p.arena)])
+}
+
+// inv returns the cover's shared NOT of node id, adding it on first use.
+func (p *parser) inv(n *logic.Network, id int) int {
+	if p.invGen[id] == p.gen {
+		return p.invOf[id]
+	}
+	v := p.gate(n, logic.Not, id)
+	p.invGen[id], p.invOf[id] = p.gen, v
+	return v
+}
+
 // buildCover lowers one PLA cover into AND/OR/NOT nodes and returns the id
 // of the node computing the cover's output.
-func buildCover(n *logic.Network, c *cover, fanin []int) (int, error) {
+func (p *parser) buildCover(n *logic.Network, c *cover, fanin []int) int {
 	if len(c.rows) == 0 {
 		// An empty cover is constant 0 by BLIF convention.
-		return n.AddConst(false), nil
+		return n.AddConst(false)
 	}
 	onSet := c.rows[0].value == '1'
 	if len(c.inputs) == 0 {
-		return n.AddConst(onSet), nil
+		return n.AddConst(onSet)
 	}
-	inverted := make(map[int]int) // fanin id -> NOT node id, shared across rows
-	inv := func(id int) int {
-		if v, ok := inverted[id]; ok {
-			return v
-		}
-		v := n.AddGate(logic.Not, id)
-		inverted[id] = v
-		return v
+	// A fresh generation forgets the previous cover's NOT nodes: they are
+	// shared across one cover's rows only.
+	p.gen++
+	if p.gen == 0 {
+		clear(p.invGen)
+		p.gen = 1
 	}
-	var terms []int
+	if size := len(n.Nodes); len(p.invGen) < size {
+		p.invGen = append(p.invGen, make([]uint32, size-len(p.invGen))...)
+		p.invOf = append(p.invOf, make([]int, size-len(p.invOf))...)
+	}
+	terms := p.terms[:0]
 	for _, r := range c.rows {
-		var lits []int
+		lits := p.lits[:0]
 		for i, ch := range r.pattern {
 			switch ch {
 			case '1':
 				lits = append(lits, fanin[i])
 			case '0':
-				lits = append(lits, inv(fanin[i]))
+				lits = append(lits, p.inv(n, fanin[i]))
 			}
 		}
+		p.lits = lits
 		switch len(lits) {
 		case 0:
 			// Row of all '-': tautology.
-			lits = append(lits, n.AddConst(true))
-			terms = append(terms, lits[0])
+			terms = append(terms, n.AddConst(true))
 		case 1:
 			terms = append(terms, lits[0])
 		default:
-			terms = append(terms, n.AddGate(logic.And, lits...))
+			terms = append(terms, p.gate(n, logic.And, lits...))
 		}
 	}
+	p.terms = terms
 	var root int
 	if len(terms) == 1 {
 		root = terms[0]
 	} else {
-		root = n.AddGate(logic.Or, terms...)
+		root = p.gate(n, logic.Or, terms...)
 	}
 	if !onSet {
-		root = n.AddGate(logic.Not, root)
+		root = p.gate(n, logic.Not, root)
 	}
-	return root, nil
+	return root
 }
 
 // Write renders the network as BLIF. Every node is written as a .names

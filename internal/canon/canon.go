@@ -1,11 +1,12 @@
 package canon
 
 import (
-	"container/heap"
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"soidomino/internal/logic"
@@ -19,44 +20,75 @@ type Form struct {
 	// Label maps original node id -> canonical label.
 	Label []int
 
-	text string
+	text []byte
 }
 
 // Bytes returns the serialized canonical description. It is deterministic
 // and self-contained: hashing it yields the fingerprint.
-func (f *Form) Bytes() []byte { return []byte(f.text) }
+func (f *Form) Bytes() []byte { return bytes.Clone(f.text) }
 
 // Hash returns the hex-encoded SHA-256 of the canonical description.
 func (f *Form) Hash() string {
-	sum := sha256.Sum256([]byte(f.text))
+	sum := sha256.Sum256(f.text)
 	return hex.EncodeToString(sum[:])
 }
 
 // Hash is shorthand for Canonicalize(n).Hash().
 func Hash(n *logic.Network) string { return Canonicalize(n).Hash() }
 
-// sigItem is one ready node in the canonical topological sort.
+// sigItem is one ready node in the canonical topological sort. Its
+// signature is sigs[off:end] of the sorter's shared signature buffer.
 type sigItem struct {
-	sig string
-	id  int // original node id, the final tie-break
+	off, end int
+	id       int // original node id, the final tie-break
 }
 
-type sigHeap []sigItem
+// sorter is a min-heap of ready nodes ordered by (signature, id).
+type sorter struct {
+	sigs  []byte
+	items []sigItem
+}
 
-func (h sigHeap) Len() int { return len(h) }
-func (h sigHeap) Less(i, j int) bool {
-	if h[i].sig != h[j].sig {
-		return h[i].sig < h[j].sig
+func (s *sorter) less(i, j int) bool {
+	a, b := s.items[i], s.items[j]
+	if c := bytes.Compare(s.sigs[a.off:a.end], s.sigs[b.off:b.end]); c != 0 {
+		return c < 0
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h sigHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *sigHeap) Push(x any)   { *h = append(*h, x.(sigItem)) }
-func (h *sigHeap) Pop() any {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
+
+func (s *sorter) push(it sigItem) {
+	s.items = append(s.items, it)
+	for i := len(s.items) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s.items[i], s.items[p] = s.items[p], s.items[i]
+		i = p
+	}
+}
+
+func (s *sorter) pop() sigItem {
+	top := s.items[0]
+	last := len(s.items) - 1
+	s.items[0] = s.items[last]
+	s.items = s.items[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && s.less(l, m) {
+			m = l
+		}
+		if r < last && s.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		s.items[i], s.items[m] = s.items[m], s.items[i]
+		i = m
+	}
+	return top
 }
 
 // Canonicalize relabels every node of n by a deterministic topological
@@ -64,74 +96,101 @@ func (h *sigHeap) Pop() any {
 // structural signature goes next. Dead nodes are included — they still
 // shape the mapping through fanout counts.
 func Canonicalize(n *logic.Network) *Form {
+	size := n.Len()
 	f := &Form{
-		Order: make([]int, 0, n.Len()),
-		Label: make([]int, n.Len()),
+		Order: make([]int, 0, size),
+		Label: make([]int, size),
 	}
 	for i := range f.Label {
 		f.Label[i] = -1
 	}
 
-	pending := make([]int, n.Len()) // unlabeled fanins per node
-	users := make([][]int, n.Len()) // fanin -> dependent node ids
+	// pending counts each node's unlabeled fanins; the users of node fi
+	// (its dependents, once per fanin occurrence) are
+	// users[first[fi]:first[fi+1]].
+	pending := make([]int, size)
+	first := make([]int, size+1)
 	for id := range n.Nodes {
-		node := &n.Nodes[id]
-		pending[id] = len(node.Fanin)
-		for _, fi := range node.Fanin {
-			users[fi] = append(users[fi], id)
+		pending[id] = len(n.Nodes[id].Fanin)
+		for _, fi := range n.Nodes[id].Fanin {
+			first[fi+1]++
+		}
+	}
+	for i := 1; i <= size; i++ {
+		first[i] += first[i-1]
+	}
+	users := make([]int, first[size])
+	next := slices.Clone(first[:size])
+	for id := range n.Nodes {
+		for _, fi := range n.Nodes[id].Fanin {
+			users[next[fi]] = id
+			next[fi]++
 		}
 	}
 
-	sig := func(id int) string {
+	s := &sorter{
+		sigs:  make([]byte, 0, 16*size),
+		items: make([]sigItem, 0, 64),
+	}
+	// ready signs node id — op|name|label|label... — and queues it.
+	ready := func(id int) {
 		node := &n.Nodes[id]
-		var b strings.Builder
-		b.WriteString(node.Op.String())
-		b.WriteByte('|')
-		b.WriteString(node.Name)
+		off := len(s.sigs)
+		s.sigs = append(s.sigs, node.Op.String()...)
+		s.sigs = append(s.sigs, '|')
+		s.sigs = append(s.sigs, node.Name...)
 		for _, fi := range node.Fanin {
-			fmt.Fprintf(&b, "|%d", f.Label[fi])
+			s.sigs = append(s.sigs, '|')
+			s.sigs = strconv.AppendInt(s.sigs, int64(f.Label[fi]), 10)
 		}
-		return b.String()
+		s.push(sigItem{off, len(s.sigs), id})
 	}
 
-	h := &sigHeap{}
 	for id := range n.Nodes {
 		if pending[id] == 0 {
-			heap.Push(h, sigItem{sig(id), id})
+			ready(id)
 		}
 	}
-	var text strings.Builder
-	for h.Len() > 0 {
-		it := heap.Pop(h).(sigItem)
+	text := make([]byte, 0, 24*size)
+	for len(s.items) > 0 {
+		it := s.pop()
 		label := len(f.Order)
 		f.Label[it.id] = label
 		f.Order = append(f.Order, it.id)
-		fmt.Fprintf(&text, "n%d %s\n", label, it.sig)
-		for _, u := range users[it.id] {
+		text = append(text, 'n')
+		text = strconv.AppendInt(text, int64(label), 10)
+		text = append(text, ' ')
+		text = append(text, s.sigs[it.off:it.end]...)
+		text = append(text, '\n')
+		for _, u := range users[first[it.id]:first[it.id+1]] {
 			if pending[u]--; pending[u] == 0 {
-				heap.Push(h, sigItem{sig(u), u})
+				ready(u)
 			}
 		}
 	}
 	// A Network is topological by construction, so every node is labeled.
 
-	text.WriteString("inputs")
+	text = append(text, "inputs"...)
 	for _, id := range n.Inputs {
-		fmt.Fprintf(&text, " %d", f.Label[id])
+		text = append(text, ' ')
+		text = strconv.AppendInt(text, int64(f.Label[id]), 10)
 	}
-	text.WriteByte('\n')
+	text = append(text, '\n')
 
-	outs := make([]logic.Output, len(n.Outputs))
-	copy(outs, n.Outputs)
-	sort.Slice(outs, func(i, j int) bool {
-		if outs[i].Name != outs[j].Name {
-			return outs[i].Name < outs[j].Name
+	outs := slices.Clone(n.Outputs)
+	slices.SortFunc(outs, func(a, b logic.Output) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return f.Label[outs[i].Node] < f.Label[outs[j].Node]
+		return cmp.Compare(f.Label[a.Node], f.Label[b.Node])
 	})
 	for _, out := range outs {
-		fmt.Fprintf(&text, "out %s %d\n", out.Name, f.Label[out.Node])
+		text = append(text, "out "...)
+		text = append(text, out.Name...)
+		text = append(text, ' ')
+		text = strconv.AppendInt(text, int64(f.Label[out.Node]), 10)
+		text = append(text, '\n')
 	}
-	f.text = text.String()
+	f.text = text
 	return f
 }

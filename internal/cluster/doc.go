@@ -18,8 +18,10 @@
 //     identical in-flight jobs), so a thundering herd costs one DP run
 //     no matter which layer it reaches first.
 //
-//   - Router: the HTTP front-end. POST /v1/map computes the routing key
-//     with service.RequestKey, routes to the ReplicationFactor preferred
+//   - Router: the HTTP front-end. POST /v1/map decodes the body as
+//     strictly as a replica does, takes the routing key from its
+//     service.KeyMemo (computing it once per distinct submission), routes
+//     to the ReplicationFactor preferred
 //     replicas with failover (then to the remaining replicas as a last
 //     resort), and namespaces job ids as "<replica>.<id>" so GET
 //     /v1/jobs/{id} polls the replica that owns the job. A background

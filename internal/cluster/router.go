@@ -99,6 +99,7 @@ type Router struct {
 	replicas []*replica
 	byURL    map[string]*replica
 	flight   Flight[*service.JobView]
+	keys     *service.KeyMemo
 	mux      *http.ServeMux
 	logger   *slog.Logger
 	start    time.Time
@@ -124,6 +125,8 @@ type Router struct {
 // renders them in this order).
 var routerCounters = []string{
 	"jobs_coalesced",
+	"key_memo_hits",
+	"key_memo_misses",
 	"requests",
 	"requests_bad",
 	"requests_failed",
@@ -133,6 +136,8 @@ var routerCounters = []string{
 
 var routerCounterHelp = map[string]string{
 	"jobs_coalesced":   "Synchronous submissions that shared an identical in-flight submission instead of reaching a replica.",
+	"key_memo_hits":    "Map submissions routed by a key from the request-key memo, skipping parse, strash and canon.",
+	"key_memo_misses":  "Map submissions keyed from scratch (parse, strash, canon), including rejected ones.",
 	"requests":         "Map submissions received.",
 	"requests_bad":     "Map submissions rejected before routing (malformed body, unknown circuit or options).",
 	"requests_failed":  "Map submissions that failed on every candidate replica.",
@@ -150,6 +155,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:       cfg,
 		ring:      NewRing(cfg.Replicas, cfg.VNodes),
+		keys:      service.NewKeyMemo(),
 		byURL:     make(map[string]*replica, len(cfg.Replicas)),
 		logger:    cfg.Logger,
 		start:     time.Now(),
@@ -331,12 +337,23 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	r = r.WithContext(ctx)
 
+	// Decode exactly as a replica does, unknown fields rejected, so a
+	// misspelled field gets the replica's 400 rather than being dropped
+	// from the re-marshaled request this router forwards.
 	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
 	var req service.MapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		rt.add("requests_bad", 1)
 		rootSpan.End(obs.KV{Key: "bad_request", Val: 1})
-		rt.errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			rt.errorJSON(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
+		rt.errorJSON(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if rt.cfg.StrashOff {
@@ -349,7 +366,12 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		req.Options.StrashOff = true
 	}
 	kStart := time.Now()
-	key, err := service.RequestKey(r.Context(), &req)
+	key, hit, err := rt.keys.RequestKey(r.Context(), &req)
+	if hit {
+		rt.add("key_memo_hits", 1)
+	} else {
+		rt.add("key_memo_misses", 1)
+	}
 	rt.hub.Record(obs.TraceContextFrom(r.Context()), "router", "request key", kStart, time.Since(kStart))
 	if err != nil {
 		rt.add("requests_bad", 1)

@@ -14,7 +14,7 @@
 //   - soisim: a short switch-level simulation — no corrupted PBE events
 //     on protected netlists and outputs tracking the mapped function
 //   - cross-variant metamorphic relations: T_total(SOI) <= T_total(Domino)
-//     + TotalEps and T_disch(SOI) <= T_disch(RS) + DischEps under the area
+//   - TotalEps and T_disch(SOI) <= T_disch(RS) + DischEps under the area
 //     objective
 //
 // Violations are delta-debugged to a minimal failing circuit (Shrink) and

@@ -10,6 +10,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -141,6 +142,14 @@ func (n *Network) AddConst(value bool) int {
 // fanin count is illegal for op: both indicate a programming error in the
 // caller, not recoverable input.
 func (n *Network) AddGate(op Op, fanin ...int) int {
+	return n.AddGateOwned(op, append([]int(nil), fanin...))
+}
+
+// AddGateOwned is AddGate without the defensive copy: the new node keeps
+// fanin itself, so the caller must not modify the slice afterwards.
+// Builders that carve many fanin lists out of one backing array use it
+// to add a gate without an allocation of its own.
+func (n *Network) AddGateOwned(op Op, fanin []int) int {
 	if len(fanin) < op.MinFanin() || (op.MaxFanin() >= 0 && len(fanin) > op.MaxFanin()) {
 		panic(fmt.Sprintf("logic: %s gate with %d fanins", op, len(fanin)))
 	}
@@ -150,7 +159,15 @@ func (n *Network) AddGate(op Op, fanin ...int) int {
 			panic(fmt.Sprintf("logic: gate %d references fanin %d", id, f))
 		}
 	}
-	return n.add(Node{Op: op, Fanin: append([]int(nil), fanin...)})
+	return n.add(Node{Op: op, Fanin: fanin})
+}
+
+// Grow reserves room for extra more nodes, so a builder that knows its
+// size up front appends without regrowing the node slice.
+func (n *Network) Grow(extra int) {
+	if extra > 0 {
+		n.Nodes = slices.Grow(n.Nodes, extra)
+	}
 }
 
 // AddNamedGate is AddGate plus a name registration for the new node.

@@ -42,8 +42,8 @@ func TestParseTraceparentRejects(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		valid[:54],  // one byte short
-		valid + "0", // one byte long
+		valid[:54],             // one byte short
+		valid + "0",            // one byte long
 		"01" + valid[2:],       // unknown version
 		strings.ToUpper(valid), // upper-case hex
 		"00-00000000000000000000000000000000-" + testSID + "-01", // zero trace id

@@ -18,7 +18,9 @@
 // the algorithm and mapper options. Submitting the same circuit twice —
 // the common case when sweeping k/W/H, where only the options part of
 // the key changes — answers the repeat from the cache without running
-// the dynamic program.
+// the dynamic program. The key itself is memoized per process
+// (KeyMemo): a resubmitted request is keyed without parsing its source,
+// and parsed only if it must be mapped (DESIGN.md §12.1).
 //
 // # Cancellation
 //

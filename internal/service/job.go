@@ -25,9 +25,12 @@ const (
 // guarded by mu and published through view().
 type job struct {
 	// Submission (read-only after submit).
-	id       string
-	circuit  string // benchmark name or "inline"
-	algo     string // request key: domino|rs|rsdeep|soi
+	id      string
+	circuit string // benchmark name or "inline"
+	algo    string // request key: domino|rs|rsdeep|soi
+	// src is the network to map, set only on a job that is queued to
+	// run; the worker takes it off the job when it starts, so cache
+	// hits, followers and finished jobs never hold one.
 	src      *logic.Network
 	opt      mapper.Options
 	reqID    string // request id of the submitting HTTP request

@@ -38,6 +38,8 @@ var promCounterHelp = map[string]string{
 	"jobs_rejected":             "Submissions rejected because the queue was full.",
 	"jobs_shed":                 "Submissions shed because the estimated queue wait exceeded their deadline.",
 	"jobs_submitted":            "Jobs accepted for processing (including cache hits).",
+	"key_memo_hits":             "Map submissions keyed from the request-key memo, skipping parse, strash and canon.",
+	"key_memo_misses":           "Map submissions keyed from scratch (parse, strash, canon), including rejected ones.",
 	"store_corrupt":             "Corrupt or torn durable-store records detected and quarantined, never served.",
 	"store_evicted":             "Durable-store entries evicted to keep the disk tier within StoreEntries.",
 	"store_hits":                "Lookups answered by the durable on-disk result store.",

@@ -24,6 +24,8 @@ func fixtureMetrics() *metrics {
 	m.add("jobs_failed", 1)
 	m.add("cache_hits", 2)
 	m.add("cache_misses", 3)
+	m.add("key_memo_hits", 4)
+	m.add("key_memo_misses", 1)
 	m.jobsQueued.Set(1)
 	m.jobsRunning.Set(2)
 	m.observe("soi", 3*time.Millisecond)

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,6 +203,7 @@ type Server struct {
 	cfg      Config
 	metrics  *metrics
 	cache    *cache.LRU[string, *MapResult]
+	keys     *KeyMemo
 	queue    chan *job
 	logger   *slog.Logger
 	start    time.Time
@@ -251,6 +253,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		metrics:   newMetrics(),
 		cache:     cache.New[string, *MapResult](cfg.CacheEntries),
+		keys:      NewKeyMemo(),
 		queue:     make(chan *job, cfg.QueueDepth),
 		logger:    cfg.Logger,
 		start:     time.Now(),
@@ -392,15 +395,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// parseSource builds the submitted network and a short label for it.
-func parseSource(ctx context.Context, req *MapRequest) (*logic.Network, string, error) {
+// sourceCount counts the source fields req sets; exactly one is valid.
+func sourceCount(req *MapRequest) int {
 	set := 0
 	for _, s := range []string{req.Circuit, req.BLIF, req.Bench} {
 		if s != "" {
 			set++
 		}
 	}
-	if set != 1 {
+	return set
+}
+
+// parseSource builds the submitted network and a short label for it.
+func parseSource(ctx context.Context, req *MapRequest) (*logic.Network, string, error) {
+	if sourceCount(req) != 1 {
 		return nil, "", errors.New("exactly one of circuit, blif or bench is required")
 	}
 	switch {
@@ -468,6 +476,14 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 // algoKeys are the request names of the four mappers.
 var algoKeys = map[string]bool{"domino": true, "rs": true, "rsdeep": true, "soi": true}
 
+// defaultAlgorithm resolves a request's algorithm name ("" is soi).
+func defaultAlgorithm(algo string) string {
+	if algo == "" {
+		return "soi"
+	}
+	return algo
+}
+
 // CacheKey builds the result-cache key: canonical structure hash plus
 // everything else that shapes the result. It is also the cluster routing
 // key — the router's consistent-hash ring and every replica's cache and
@@ -488,30 +504,19 @@ func CacheKey(n *logic.Network, algo string, opt mapper.Options) string {
 	if !opt.StrashOff {
 		h = strash.Run(n).Network
 	}
-	return fmt.Sprintf("%s|%s|%s|%s", canon.Hash(h), n.Name, algo, encodeOptions(opt))
+	return canon.Hash(h) + "|" + n.Name + "|" + algo + "|" + encodeOptions(opt)
 }
 
 // RequestKey resolves a MapRequest to the cache/routing key its
 // submission would use, applying the same source parsing, algorithm
-// default and option resolution as the submission path. Exported for the
-// cluster router, which must agree byte-for-byte with every replica.
+// default and option resolution as the submission path. It keys from
+// scratch; the cluster router, which must agree byte-for-byte with every
+// replica, keys through a KeyMemo.
 func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
-	src, _, err := parseSource(ctx, req)
-	if err != nil {
-		return "", err
-	}
-	algo := req.Algorithm
-	if algo == "" {
-		algo = "soi"
-	}
-	if !algoKeys[algo] {
-		return "", fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", algo)
-	}
-	opt, err := OptionsFromRequest(req.Options)
-	if err != nil {
-		return "", err
-	}
-	return CacheKey(src, algo, opt), nil
+	algo := defaultAlgorithm(req.Algorithm)
+	opt, optErr := OptionsFromRequest(req.Options)
+	ent, _, err := keyRequest(ctx, req, algo, opt, optErr, 0)
+	return ent.key, err
 }
 
 // encodeOptions renders mapper.Options as a stable, canonical cache-key
@@ -524,10 +529,19 @@ func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 // sequential one (the mapper's par-determinism gate enforces it), so
 // two requests differing only in worker count must share a cache entry.
 func encodeOptions(opt mapper.Options) string {
-	return fmt.Sprintf("w=%d;h=%d;obj=%d;k=%d;dw=%d;foot=%t;ord=%d;pareto=%t;budget=%d;seq=%t;soff=%t",
-		opt.MaxWidth, opt.MaxHeight, opt.Objective, opt.ClockWeight, opt.DepthWeight,
-		opt.AlwaysFooted, opt.BaselineStackOrder, opt.Pareto, opt.TupleBudget, opt.SequenceAware,
-		opt.StrashOff)
+	b := make([]byte, 0, 96)
+	b = strconv.AppendInt(append(b, "w="...), int64(opt.MaxWidth), 10)
+	b = strconv.AppendInt(append(b, ";h="...), int64(opt.MaxHeight), 10)
+	b = strconv.AppendInt(append(b, ";obj="...), int64(opt.Objective), 10)
+	b = strconv.AppendInt(append(b, ";k="...), int64(opt.ClockWeight), 10)
+	b = strconv.AppendInt(append(b, ";dw="...), int64(opt.DepthWeight), 10)
+	b = strconv.AppendBool(append(b, ";foot="...), opt.AlwaysFooted)
+	b = strconv.AppendInt(append(b, ";ord="...), int64(opt.BaselineStackOrder), 10)
+	b = strconv.AppendBool(append(b, ";pareto="...), opt.Pareto)
+	b = strconv.AppendInt(append(b, ";budget="...), int64(opt.TupleBudget), 10)
+	b = strconv.AppendBool(append(b, ";seq="...), opt.SequenceAware)
+	b = strconv.AppendBool(append(b, ";soff="...), opt.StrashOff)
+	return string(b)
 }
 
 // faultCtx attaches the configured fault registry (if any) to ctx.
@@ -569,36 +583,30 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{"bad request: " + err.Error()})
 		return
 	}
-	src, label, err := parseSource(ctx, &req)
+	// Key the submission once per process: a resubmission's key comes
+	// from the memo without parsing, and src stays nil until the job is
+	// really queued. The server-wide strash opt-out is applied before the
+	// key: strash is semantic, so the key must carry it.
+	req.Algorithm = defaultAlgorithm(req.Algorithm)
+	opt, optErr := OptionsFromRequest(req.Options)
+	opt.StrashOff = opt.StrashOff || s.cfg.StrashOff
+	ent, src, hit, err := s.keys.resolve(ctx, &req, req.Algorithm, opt, optErr, s.cfg.MaxNetworkNodes)
+	if hit {
+		s.metrics.add("key_memo_hits", 1)
+	} else {
+		s.metrics.add("key_memo_misses", 1)
+	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
-		return
-	}
-	if src.Len() > s.cfg.MaxNetworkNodes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			apiError{fmt.Sprintf("network has %d nodes, limit is %d", src.Len(), s.cfg.MaxNetworkNodes)})
-		return
-	}
-	if req.Algorithm == "" {
-		req.Algorithm = "soi"
-	}
-	if !algoKeys[req.Algorithm] {
-		writeJSON(w, http.StatusBadRequest,
-			apiError{fmt.Sprintf("unknown algorithm %q (want domino, rs, rsdeep or soi)", req.Algorithm)})
-		return
-	}
-	opt, err := OptionsFromRequest(req.Options)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *tooLargeError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{err.Error()})
 		return
 	}
 	if opt.Workers == 0 {
 		opt.Workers = s.cfg.MapWorkers
-	}
-	if s.cfg.StrashOff {
-		// Server-wide strash opt-out. Applied before CacheKey below:
-		// strash is semantic, so the key must carry it.
-		opt.StrashOff = true
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -610,14 +618,13 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := &job{
-		circuit:  label,
+		circuit:  ent.label,
 		algo:     req.Algorithm,
-		src:      src,
 		opt:      opt,
 		reqID:    obs.RequestID(r.Context()),
 		tc:       obs.TraceContextFrom(r.Context()),
 		deadline: time.Now().Add(timeout),
-		cacheKey: CacheKey(src, req.Algorithm, opt),
+		cacheKey: ent.key,
 		state:    JobQueued,
 		done:     make(chan struct{}),
 	}
@@ -696,6 +703,17 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+
+	// The job will be queued, so it needs its network now. A memo hit
+	// parses here, under the request context without the server's fault
+	// registry: the hit already fired the parse fault point once.
+	if src == nil {
+		if src, _, err = parseSource(r.Context(), &req); err != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+			return
+		}
+	}
+	j.src = src
 
 	s.mu.Lock()
 	if s.closed {
@@ -1021,6 +1039,11 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 	}()
 
+	// The worker is the network's last reader: take it off the job, so a
+	// finished job kept for polling does not pin it.
+	src := j.src
+	j.src = nil
+
 	j.setRunning()
 	ctx, cancel := context.WithDeadline(s.baseCtx, j.deadline)
 	defer cancel()
@@ -1112,7 +1135,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
-	res, err := s.mapFn(ctx, j.circuit, j.src, j.algo, j.opt)
+	res, err := s.mapFn(ctx, j.circuit, src, j.algo, j.opt)
 	if err == nil {
 		if ferr := faultpoint.From(ctx).Check(ctx, PointQueuePop); ferr != nil {
 			err = ferr

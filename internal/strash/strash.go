@@ -31,10 +31,11 @@ package strash
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
 
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
@@ -93,25 +94,89 @@ func Run(n *logic.Network) *Result {
 // that doubles as the cons key and the commutative-fanin sort key.
 type builder struct {
 	out    *logic.Network
-	sigs   [][]byte       // per out-node structural signature
-	cons   map[string]int // signature -> out node id
+	sigs   [][32]byte       // per out-node structural signature
+	cons   map[[32]byte]int // signature -> out node id
 	faults *faultpoint.Registry
 	c      Counters
 	const0 int
 	const1 int
+
+	// Scratch reused across gates, so hash-consing one gate allocates
+	// nothing of its own: the bytes one signature hashes, the mapped
+	// fanin and operand lists, and a membership table over out-node ids
+	// that is live where stamp[id] == gen (count holds the parity
+	// multiplicity there).
+	buf   []byte
+	fanin []int
+	ops   []int
+	stamp []uint32
+	count []int32
+	gen   uint32
+	// arena backs the fanin lists of b.out's gates.
+	arena []int
 }
 
-func (b *builder) sig(parts ...[]byte) []byte {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
+var (
+	sigInput = []byte("i|")
+	sigNot   = []byte("n|")
+	sigConst = [2][]byte{[]byte("c0"), []byte("c1")}
+)
+
+// sign returns the sha256 of prefix followed by the signatures of ids.
+func (b *builder) sign(prefix []byte, ids []int) [32]byte {
+	buf := append(b.buf[:0], prefix...)
+	for _, id := range ids {
+		buf = append(buf, b.sigs[id][:]...)
 	}
-	return h.Sum(nil)
+	b.buf = buf
+	return sha256.Sum256(buf)
+}
+
+// own copies fanin into the arena and returns the copy, capped so no
+// later append can reach a neighbour's list.
+func (b *builder) own(fanin []int) []int {
+	if cap(b.arena)-len(b.arena) < len(fanin) {
+		b.arena = make([]int, 0, max(4096, len(fanin)))
+	}
+	start := len(b.arena)
+	b.arena = append(b.arena, fanin...)
+	return b.arena[start:len(b.arena):len(b.arena)]
+}
+
+// addGate appends a gate to b.out under signature sig and conses it.
+func (b *builder) addGate(op logic.Op, fanin []int, sig [32]byte) int {
+	id := b.out.AddGateOwned(op, b.own(fanin))
+	b.sigs = append(b.sigs, sig)
+	b.cons[sig] = id
+	return id
+}
+
+// newGen opens a fresh membership table for one gate.
+func (b *builder) newGen() {
+	b.gen++
+	if b.gen == 0 { // wrapped: forget every stale stamp
+		clear(b.stamp)
+		b.gen = 1
+	}
+	if n := len(b.out.Nodes); len(b.stamp) < n {
+		b.stamp = append(b.stamp, make([]uint32, n-len(b.stamp))...)
+		b.count = append(b.count, make([]int32, n-len(b.count))...)
+	}
+}
+
+// marked reports whether out node id is in the current table.
+func (b *builder) marked(id int) bool { return b.stamp[id] == b.gen }
+
+// mark adds out node id to the current table with count zero.
+func (b *builder) mark(id int) {
+	b.stamp[id] = b.gen
+	b.count[id] = 0
 }
 
 func (b *builder) addInput(name string) int {
 	id := b.out.AddInput(name)
-	b.sigs = append(b.sigs, b.sig([]byte("i|"), []byte(name)))
+	b.buf = append(append(b.buf[:0], sigInput...), name...)
+	b.sigs = append(b.sigs, sha256.Sum256(b.buf))
 	return id
 }
 
@@ -119,13 +184,13 @@ func (b *builder) getConst(v bool) int {
 	if v {
 		if b.const1 < 0 {
 			b.const1 = b.out.AddConst(true)
-			b.sigs = append(b.sigs, b.sig([]byte("c1")))
+			b.sigs = append(b.sigs, sha256.Sum256(sigConst[1]))
 		}
 		return b.const1
 	}
 	if b.const0 < 0 {
 		b.const0 = b.out.AddConst(false)
-		b.sigs = append(b.sigs, b.sig([]byte("c0")))
+		b.sigs = append(b.sigs, sha256.Sum256(sigConst[0]))
 	}
 	return b.const0
 }
@@ -133,7 +198,7 @@ func (b *builder) getConst(v bool) int {
 // isNotOf returns (x, true) when out node id computes NOT x; used for
 // complement-pair cancellation.
 func (b *builder) isNotOf(id int) (int, bool) {
-	nd := b.out.Nodes[id]
+	nd := &b.out.Nodes[id]
 	if nd.Op == logic.Not {
 		return nd.Fanin[0], true
 	}
@@ -150,14 +215,11 @@ func (b *builder) consNot(x int) int {
 	case logic.Not:
 		return b.out.Nodes[x].Fanin[0]
 	}
-	sig := b.sig([]byte("n|"), b.sigs[x])
-	if id, ok := b.cons[string(sig)]; ok {
+	sig := b.sign(sigNot, []int{x})
+	if id, ok := b.cons[sig]; ok {
 		return id
 	}
-	id := b.out.AddGate(logic.Not, x)
-	b.sigs = append(b.sigs, sig)
-	b.cons[string(sig)] = id
-	return id
+	return b.addGate(logic.Not, []int{x}, sig)
 }
 
 // sortStructural orders node ids by their structural signature
@@ -166,36 +228,29 @@ func (b *builder) consNot(x int) int {
 // normalization: the resulting operand order, which the mapper reads as
 // series-stack order, depends on structure alone.
 func (b *builder) sortStructural(ids []int) {
-	sort.Slice(ids, func(i, j int) bool {
-		if c := bytes.Compare(b.sigs[ids[i]], b.sigs[ids[j]]); c != 0 {
-			return c < 0
+	slices.SortFunc(ids, func(x, y int) int {
+		if c := bytes.Compare(b.sigs[x][:], b.sigs[y][:]); c != 0 {
+			return c
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(x, y)
 	})
 }
 
 // consGate hash-conses one already-normalized gate (core op, >= 2
 // structurally sorted operands).
 func (b *builder) consGate(op logic.Op, ops []int) int {
-	parts := make([][]byte, 0, len(ops)+1)
-	parts = append(parts, []byte{'g', byte(op), '|'})
+	head := []byte{'g', byte(op), '|'}
 	if b.faults.Flip(PointBadMerge) && op == logic.Or {
 		// Deliberate corruption for fault-injection tests: sign the OR
 		// as an AND, merging it into any structurally matching AND.
-		parts[0] = []byte{'g', byte(logic.And), '|'}
+		head[1] = byte(logic.And)
 	}
-	for _, f := range ops {
-		parts = append(parts, b.sigs[f])
-	}
-	sig := b.sig(parts...)
-	if id, ok := b.cons[string(sig)]; ok {
+	sig := b.sign(head, ops)
+	if id, ok := b.cons[sig]; ok {
 		b.c.Merged++
 		return id
 	}
-	id := b.out.AddGate(op, ops...)
-	b.sigs = append(b.sigs, sig)
-	b.cons[string(sig)] = id
-	return id
+	return b.addGate(op, ops, sig)
 }
 
 // consMonotone normalizes one And/Or/Nand/Nor gate: constant folding,
@@ -220,8 +275,8 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 		return id
 	}
 
-	seen := make(map[int]bool, len(fanin))
-	var ops []int
+	b.newGen()
+	ops := b.ops[:0]
 	for _, f := range fanin {
 		switch b.out.Nodes[f].Op {
 		case logic.Const0:
@@ -237,15 +292,16 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 			}
 			continue // identity for And
 		}
-		if seen[f] {
+		if b.marked(f) {
 			continue // idempotence: x·x = x, x+x = x
 		}
-		seen[f] = true
+		b.mark(f)
 		ops = append(ops, f)
 	}
+	b.ops = ops
 	// Complement pair: x together with NOT x annihilates the core.
 	for _, f := range ops {
-		if x, ok := b.isNotOf(f); ok && seen[x] {
+		if x, ok := b.isNotOf(f); ok && b.marked(x) {
 			b.c.Folded++
 			return finish(b.getConst(dominant))
 		}
@@ -270,14 +326,8 @@ func (b *builder) consMonotone(op logic.Op, fanin []int) int {
 // identical pairs and Const0 fanins vanish.
 func (b *builder) consParity(op logic.Op, fanin []int) int {
 	invert := op == logic.Xnor
-	count := make(map[int]int, len(fanin))
-	order := make([]int, 0, len(fanin))
-	add := func(f int) {
-		if count[f] == 0 {
-			order = append(order, f)
-		}
-		count[f]++
-	}
+	b.newGen()
+	order := b.ops[:0] // distinct operands, first occurrence first
 	for _, f := range fanin {
 		switch b.out.Nodes[f].Op {
 		case logic.Const0:
@@ -290,17 +340,21 @@ func (b *builder) consParity(op logic.Op, fanin []int) int {
 		// land on the same parity bucket and cancel.
 		if x, ok := b.isNotOf(f); ok {
 			invert = !invert
-			add(x)
-		} else {
-			add(f)
+			f = x
 		}
+		if !b.marked(f) {
+			b.mark(f)
+			order = append(order, f)
+		}
+		b.count[f]++
 	}
-	var ops []int
+	ops := order[:0]
 	for _, f := range order {
-		if count[f]%2 == 1 {
+		if b.count[f]%2 == 1 {
 			ops = append(ops, f) // pairs cancel: x ^ x = 0
 		}
 	}
+	b.ops = ops
 	if len(ops) < len(fanin) {
 		b.c.Folded++
 	}
@@ -326,17 +380,20 @@ func (b *builder) consParity(op logic.Op, fanin []int) int {
 func RunContext(ctx context.Context, n *logic.Network) *Result {
 	b := &builder{
 		out:    logic.New(n.Name),
-		cons:   make(map[string]int),
+		sigs:   make([][32]byte, 0, len(n.Nodes)+2),
+		cons:   make(map[[32]byte]int, len(n.Nodes)),
 		faults: faultpoint.From(ctx),
 		const0: -1,
 		const1: -1,
 	}
+	b.out.Grow(len(n.Nodes) + 2)
 	b.c.NodesIn = len(n.Nodes)
 
 	// Phase 1: forward hash-consing pass. repr[i] is the id in b.out of
 	// the node computing the same function as input node i.
 	repr := make([]int, len(n.Nodes))
-	for i, node := range n.Nodes {
+	for i := range n.Nodes {
+		node := &n.Nodes[i]
 		switch node.Op {
 		case logic.Input:
 			// Inputs are the interface: never merged, names kept.
@@ -361,9 +418,9 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 			}
 			repr[i] = id
 		case logic.And, logic.Or, logic.Nand, logic.Nor:
-			repr[i] = b.consMonotone(node.Op, faninRepr(repr, node.Fanin))
+			repr[i] = b.consMonotone(node.Op, b.faninRepr(repr, node.Fanin))
 		case logic.Xor, logic.Xnor:
-			repr[i] = b.consParity(node.Op, faninRepr(repr, node.Fanin))
+			repr[i] = b.consParity(node.Op, b.faninRepr(repr, node.Fanin))
 		default:
 			panic(fmt.Sprintf("strash: node %d has unknown op %v", i, node.Op))
 		}
@@ -401,13 +458,22 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 		keep[in] = true
 	}
 
-	final := logic.New(n.Name)
-	finalOf := make([]int, len(out.Nodes))
-	for i := range finalOf {
-		finalOf[i] = -1
+	// Size the final network and its one fanin array exactly.
+	kept, fanins := 0, 0
+	for id := range out.Nodes {
+		if keep[id] {
+			kept++
+			fanins += len(out.Nodes[id].Fanin)
+		}
 	}
-	for id, nd := range out.Nodes {
+	final := logic.New(n.Name)
+	final.Grow(kept)
+	b.arena = make([]int, 0, fanins)
+	finalOf := make([]int, len(out.Nodes))
+	for id := range out.Nodes {
+		nd := &out.Nodes[id]
 		if !keep[id] {
+			finalOf[id] = -1
 			b.c.Dead++
 			continue
 		}
@@ -419,11 +485,11 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 		case logic.Const1:
 			finalOf[id] = final.AddConst(true)
 		default:
-			fanin := make([]int, len(nd.Fanin))
-			for k, f := range nd.Fanin {
-				fanin[k] = finalOf[f]
+			start := len(b.arena)
+			for _, f := range nd.Fanin {
+				b.arena = append(b.arena, finalOf[f])
 			}
-			finalOf[id] = final.AddGate(nd.Op, fanin...)
+			finalOf[id] = final.AddGateOwned(nd.Op, b.arena[start:len(b.arena):len(b.arena)])
 		}
 	}
 	for _, po := range out.Outputs {
@@ -438,11 +504,13 @@ func RunContext(ctx context.Context, n *logic.Network) *Result {
 	return &Result{Network: final, NodeMap: nodeMap, Counters: b.c}
 }
 
-// faninRepr maps a source fanin list through repr.
-func faninRepr(repr []int, fanin []int) []int {
-	out := make([]int, len(fanin))
-	for i, f := range fanin {
-		out[i] = repr[f]
+// faninRepr maps a source fanin list through repr into the builder's
+// fanin scratch.
+func (b *builder) faninRepr(repr []int, fanin []int) []int {
+	out := b.fanin[:0]
+	for _, f := range fanin {
+		out = append(out, repr[f])
 	}
+	b.fanin = out
 	return out
 }
