@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-baseline obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check fmt vet build test race bench bench-baseline obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
-check: fmt vet build race obs-overhead par-determinism strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+check: fmt vet build race obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
 # Fails listing every file gofmt would rewrite.
 fmt:
@@ -21,12 +21,13 @@ test:
 	$(GO) test ./...
 
 # The concurrency-heavy packages run at -cpu 1,4: one processor
-# serializes goroutines that race on more, and four exercise per-worker
-# DP scratch and job hand-off under real parallelism.
-RACE_MULTICORE = ./internal/service/... ./internal/cluster/... ./internal/chaostest/...
+# serializes goroutines that race on more, and four exercise job
+# hand-off and independent mapping runs over one shared network under
+# real parallelism.
+RACE_MULTICORE = ./internal/service/... ./internal/cluster/... ./internal/chaostest/... ./internal/mapper/...
 
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v -e /internal/service -e /internal/cluster -e /internal/chaostest)
+	$(GO) test -race $$($(GO) list ./... | grep -v -e /internal/service -e /internal/cluster -e /internal/chaostest -e /internal/mapper)
 	$(GO) test -race -cpu 1,4 $(RACE_MULTICORE)
 
 bench:
@@ -46,16 +47,8 @@ bench-baseline: strash-determinism
 obs-overhead:
 	SOIDOMINO_OBS_OVERHEAD=1 $(GO) test -run 'Test(Stats|Trace)Overhead' -v ./internal/mapper
 
-# The parallel DP engine's byte-identical contract: every testdata
-# circuit mapped with workers=1 vs workers=N across all mappers and
-# Pareto modes must produce the same service.EncodeJSON bytes, with the
-# race detector watching the scheduler itself, at 1 and 4 processors.
-par-determinism:
-	$(GO) test -race -cpu 1,4 -run 'TestParallel' -v . ./internal/mapper
-
 # The strash front-end's determinism contract: every testdata circuit's
-# strash output is byte-stable across runs and idempotent, the strash-on
-# mapping is byte-identical across Workers settings, strash-on/off
+# strash output is byte-stable across runs and idempotent, strash-on/off
 # mappings are both equivalent to the source, and renamed submissions
 # share one router shard. Benchmarks run it first (bench-baseline) so a
 # perf-motivated strash change cannot silently trade away determinism.

@@ -1,9 +1,12 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // JSON benchmark baseline. The JSON carries both parsed per-benchmark
-// records (name, iterations, ns/op, B/op, allocs/op) and the raw
-// benchmark lines, so the file stays consumable by benchstat:
+// records (package, name, GOMAXPROCS, iterations, ns/op, B/op,
+// allocs/op) and the raw benchmark lines, so the file stays consumable
+// by benchstat. Multi-package runs are supported: each record carries
+// the package whose `pkg:` header preceded it.
 //
 //	go test -bench=. -benchmem -count=5 -run='^$' | benchjson > BENCH_2026-08-05.json
+//	go test -bench=. -benchmem -run='^$' ./... | benchjson > BENCH_all.json
 //	jq -r .raw BENCH_2026-08-05.json | benchstat old.txt -
 //
 // `make bench-baseline` wraps the first command; see the Observability
@@ -21,9 +24,13 @@ import (
 	"time"
 )
 
-// Record is one parsed benchmark result line.
+// Record is one parsed benchmark result line. Procs is the GOMAXPROCS
+// the benchmark ran at, from the name's -N suffix (go test omits the
+// suffix at 1).
 type Record struct {
+	Pkg         string  `json:"pkg,omitempty"`
 	Name        string  `json:"name"`
+	Procs       int     `json:"procs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
@@ -31,12 +38,14 @@ type Record struct {
 }
 
 // Baseline is the file format: metadata, parsed records, and the raw
-// benchmark text (goos/goarch/pkg headers plus result lines) for
-// benchstat.
+// benchmark text (goos/goarch/pkg/cpu headers plus result lines) for
+// benchstat. Pkg is set only when every record comes from one package;
+// a multi-package run leaves it empty and each Record names its own.
 type Baseline struct {
 	Date    string   `json:"date"`
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
+	CPU     string   `json:"cpu,omitempty"`
 	Pkg     string   `json:"pkg,omitempty"`
 	Records []Record `json:"records"`
 	Raw     string   `json:"raw"`
@@ -52,6 +61,8 @@ func main() {
 func run(in io.Reader, out io.Writer) error {
 	base := Baseline{Date: time.Now().UTC().Format("2006-01-02")}
 	var raw strings.Builder
+	pkg := ""
+	pkgs := make(map[string]bool)
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -61,14 +72,18 @@ func run(in io.Reader, out io.Writer) error {
 			base.Goos = strings.TrimPrefix(line, "goos: ")
 		case strings.HasPrefix(line, "goarch: "):
 			base.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "cpu: "):
+			base.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "pkg: "):
-			base.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		}
 		if keepRaw(line) {
 			raw.WriteString(line)
 			raw.WriteByte('\n')
 		}
 		if rec, ok := parseLine(line); ok {
+			rec.Pkg = pkg
+			pkgs[pkg] = true
 			base.Records = append(base.Records, rec)
 		}
 	}
@@ -77,6 +92,9 @@ func run(in io.Reader, out io.Writer) error {
 	}
 	if len(base.Records) == 0 {
 		return fmt.Errorf("no benchmark result lines on stdin (expected `go test -bench` output)")
+	}
+	if len(pkgs) == 1 {
+		base.Pkg = pkg
 	}
 	base.Raw = raw.String()
 	enc := json.NewEncoder(out)
@@ -112,7 +130,7 @@ func parseLine(line string) (Record, bool) {
 	if err1 != nil || err2 != nil {
 		return Record{}, false
 	}
-	rec := Record{Name: f[0], Iterations: iters, NsPerOp: ns}
+	rec := Record{Name: f[0], Procs: procsOf(f[0]), Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseInt(f[i], 10, 64)
 		if err != nil {
@@ -126,4 +144,18 @@ func parseLine(line string) (Record, bool) {
 		}
 	}
 	return rec, true
+}
+
+// procsOf returns the GOMAXPROCS encoded in a benchmark name's -N
+// suffix, or 1 when there is none.
+func procsOf(name string) int {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return 1
+	}
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || n < 1 {
+		return 1
+	}
+	return n
 }

@@ -69,7 +69,6 @@ func run() error {
 	maxH := flag.Int("h", 8, "maximum pulldown height")
 	pareto := flag.Bool("pareto", false, "enable the Pareto-frontier DP extension (soi only)")
 	tupleBudget := flag.Int("tuple-budget", 0, "Pareto tuple budget; overflow degrades to the paper's heuristic (0 = unlimited)")
-	workers := flag.Int("workers", 0, "DP worker goroutines: 0 = auto (GOMAXPROCS on large nets), 1 = sequential; results are identical at any count")
 	compound := flag.Bool("compound", false, "apply the compound-domino post-pass (paper solution 7)")
 	seqAware := flag.Bool("seq", false, "prune provably-unexcitable discharge points (paper §VII)")
 	strashOff := flag.Bool("strash-off", false, "skip the structural-hashing + DCE front-end (see the Canonicalization section of README.md)")
@@ -101,7 +100,7 @@ func run() error {
 			circuit: *circuit, blifPath: *blifPath, benchPath: *benchPath,
 			algo: *algo, objective: *objective, k: *k, maxW: *maxW, maxH: *maxH,
 			pareto: *pareto, tupleBudget: *tupleBudget, seqAware: *seqAware,
-			strashOff: *strashOff, workers: *workers, jsonOut: *jsonOut,
+			strashOff: *strashOff, jsonOut: *jsonOut,
 			explain: *explain, tracePath: *tracePath,
 		})
 	}
@@ -144,7 +143,6 @@ func run() error {
 	opt.ClockWeight = *k
 	opt.Pareto = *pareto
 	opt.TupleBudget = *tupleBudget
-	opt.Workers = *workers
 	opt.SequenceAware = *seqAware
 	opt.StrashOff = *strashOff
 	switch *objective {

@@ -30,7 +30,6 @@ type remoteFlags struct {
 	tupleBudget                  int
 	seqAware                     bool
 	strashOff                    bool
-	workers                      int
 	jsonOut                      bool
 	explain                      bool
 	tracePath                    string
@@ -68,7 +67,6 @@ func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
 		TupleBudget:   f.tupleBudget,
 		SequenceAware: f.seqAware,
 		StrashOff:     f.strashOff,
-		Workers:       f.workers,
 	}
 	if timeout > 0 {
 		req.TimeoutMS = timeout.Milliseconds()

@@ -31,6 +31,6 @@
 //
 // The consistency contract making all of this safe is documented in
 // DESIGN.md §12: mapping is deterministic and results are byte-identical
-// across replicas and worker counts, so any replica — or any cached or
+// across replicas, so any replica — or any cached or
 // coalesced copy — may answer any request.
 package cluster

@@ -45,10 +45,6 @@ type Variant struct {
 // {Domino, RS, SOI} x {area, depth} x {footed, footless} x {k in 1,2} x
 // {SequenceAware on/off}. ClockWeight only matters under the area
 // objective, so k=2 depth duplicates are pruned; 36 variants total.
-// Half the grid (the footed variants) runs the parallel DP engine with
-// Workers = 2, exercising it against every oracle; the engines are
-// byte-identical by contract, so variant names — recorded in corpus
-// manifests — do not encode the worker count.
 func DefaultVariants() []Variant {
 	var vs []Variant
 	for _, algo := range []report.Algorithm{report.Domino, report.RS, report.SOI} {
@@ -66,9 +62,6 @@ func DefaultVariants() []Variant {
 						opt.AlwaysFooted = footed
 						opt.SequenceAware = seq
 						opt.BaselineStackOrder = mapper.OrderHashed
-						if footed {
-							opt.Workers = 2
-						}
 						vs = append(vs, Variant{
 							Name: variantName(algo, opt),
 							Algo: algo,

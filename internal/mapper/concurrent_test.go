@@ -3,13 +3,16 @@ package mapper
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"soidomino/internal/bench"
 	"soidomino/internal/decompose"
 	"soidomino/internal/logic"
+	"soidomino/internal/obs"
 	"soidomino/internal/unate"
 )
 
@@ -107,5 +110,79 @@ func TestContextBackgroundMatchesPlainAPI(t *testing.T) {
 	}
 	if plain.Dump() != withCtx.Dump() {
 		t.Error("context variant diverges from plain API")
+	}
+}
+
+// errAfterCtx is a context whose Err flips to context.Canceled after a
+// fixed number of Err calls — a deterministic stand-in for "the deadline
+// expired mid-run" that pins exactly which checkpoint observes it.
+type errAfterCtx struct {
+	context.Context
+	calls atomic.Int64
+	after int64
+}
+
+func (c *errAfterCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMidNodeCancellationRegression pins the bounded in-loop checkpoint:
+// before it, the engine polled the context only at node boundaries, so a
+// cancellation landing inside a node with a large Pareto cross-product
+// went unseen until the node finished. The mux Pareto run has a node
+// with > combineCheckInterval combines; sweeping the flip point across
+// every checkpoint must (a) abort the run for every flip index below the
+// total and (b) hit the in-loop checkpoint ("canceled inside node") at
+// least once. Without the in-loop check, flip indexes at or past the
+// node count complete instead of aborting.
+func TestMidNodeCancellationRegression(t *testing.T) {
+	n := unateBench(t, "mux")
+	opt := DefaultOptions()
+	opt.Pareto = true
+
+	// Baseline: count checkpoints on an uncanceled run.
+	st := new(obs.Stats)
+	if _, err := SOIDominoMapContext(obs.WithStats(context.Background(), st), n, opt); err != nil {
+		t.Fatal(err)
+	}
+	boundary := int64(n.Len())
+	if st.CancelChecks <= boundary {
+		t.Fatalf("mux Pareto run has no in-loop checkpoints (checks=%d, nodes=%d); the regression needs a node with > %d combines",
+			st.CancelChecks, boundary, combineCheckInterval)
+	}
+
+	sawInLoop := false
+	for after := int64(0); after < st.CancelChecks; after++ {
+		ctx := &errAfterCtx{Context: context.Background(), after: after}
+		res, err := SOIDominoMapContext(ctx, n, opt)
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("flip after %d checks: got (%v, %v), want canceled", after, res, err)
+		}
+		if strings.Contains(err.Error(), "canceled inside node") {
+			sawInLoop = true
+		}
+	}
+	if !sawInLoop {
+		t.Error("no flip point hit the in-loop checkpoint; the bounded mid-node check is gone")
+	}
+}
+
+// TestFedConstantError: a constant node feeding gates fails the run with
+// the "fold constants" root cause, not a cancellation.
+func TestFedConstantError(t *testing.T) {
+	n := logic.New("bad-const")
+	a := n.AddInput("a")
+	b := n.AddInput("b")
+	c1 := n.AddConst(true)
+	g := n.AddGate(logic.And, c1, a)
+	h := n.AddGate(logic.Or, g, b)
+	n.AddOutput("o", h)
+
+	_, err := SOIDominoMap(n, DefaultOptions())
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "fold constants") {
+		t.Fatalf("got %v, want the fed-constant error", err)
 	}
 }

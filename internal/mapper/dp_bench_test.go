@@ -32,7 +32,6 @@ func BenchmarkDP(b *testing.B) {
 			b.Run(circuit+"/"+v.name, func(b *testing.B) {
 				opt := mapper.DefaultOptions()
 				opt.Pareto = v.pareto
-				opt.Workers = 1
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := v.mapFn(opt); err != nil {

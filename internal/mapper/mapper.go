@@ -138,6 +138,13 @@ func newEngine(ctx context.Context, n *logic.Network, cfg config) *engine {
 	// Method values bound once: the DP hands them to every insert and
 	// comparison, and binding per call would allocate.
 	e.lessFn, e.formLessFn = e.less, e.formLess
+	// The table scratch is sized by the validated MaxWidth x MaxHeight
+	// bound.
+	if cfg.Pareto {
+		e.table = tuple.NewFrontier(cfg.MaxWidth, cfg.MaxHeight, e.tupleCost)
+	} else {
+		e.table = tuple.NewGrid(cfg.MaxWidth, cfg.MaxHeight, e.lessFn)
+	}
 	return e
 }
 
@@ -170,6 +177,13 @@ type engine struct {
 	gateIdx []int32       // per node: the table index chosen at gate formation
 	formed  []tuple.Tuple // per node: cumulative totals of the formed gate
 	hasGate []bool
+
+	// Scratch reused across every node of the sweep: the dense {W,H}
+	// table a node's tuples are built in, the two fanins' candidate
+	// buffers, and the combine calls since the node's last checkpoint.
+	table    tableScratch
+	ua, ub   []cand
+	combines int
 }
 
 // tupleCost maps a tuple's components to the scalar the configured
@@ -393,53 +407,14 @@ func combineAnd(a, b *tuple.Tuple, topIsA bool) tuple.Tuple {
 // with a huge Pareto cross-product cannot overrun a job deadline by more
 // than a bounded slice of work. The per-node combine counter resets at
 // every node boundary, which keeps the CancelChecks stat a pure function
-// of the network and options — independent of worker count and
-// scheduling, as the byte-identical determinism contract requires.
+// of the network and options.
 const combineCheckInterval = 1024
 
-// nodeCtx carries one worker's context, collectors and scratch through
-// the DP. The sequential engine uses a single nodeCtx wired to the run's
-// real collectors; each parallel worker gets a private stats shard and
-// span buffer so node processing never contends, and processParallel
-// merges the shards (and emits the buffered spans in node order) after
-// the pool drains. The scratch — the dense {W,H} table and the
-// two candidate buffers — is reused across every node the worker maps.
-type nodeCtx struct {
-	ctx      context.Context
-	stats    *obs.Stats
-	spans    []obs.PendingSpan // indexed by node id; nil = emit spans directly
-	combines int               // combine calls since the last checkpoint
-
-	table  tableScratch
-	ua, ub []cand
-}
-
-// newNodeCtx returns a worker context with its table scratch, sized by
-// the validated MaxWidth x MaxHeight bound.
-func (e *engine) newNodeCtx(ctx context.Context, stats *obs.Stats) *nodeCtx {
-	nc := &nodeCtx{ctx: ctx, stats: stats}
-	if e.cfg.Pareto {
-		nc.table = tuple.NewFrontier(e.cfg.MaxWidth, e.cfg.MaxHeight, e.tupleCost)
-	} else {
-		nc.table = tuple.NewGrid(e.cfg.MaxWidth, e.cfg.MaxHeight, e.lessFn)
-	}
-	return nc
-}
-
-// process fills the DP tables (paper listing 2), dispatching on the
-// resolved worker count: the readiness-scheduled pool in parallel.go, or
-// the plain topological loop. Both produce byte-identical Results.
+// process fills the DP tables (paper listing 2): one topological sweep
+// over the nodes, each mapped from its finished fanin tables.
 func (e *engine) process() error {
-	if w := e.effectiveWorkers(); w > 1 {
-		return e.processParallel(w)
-	}
-	return e.processSequential()
-}
-
-func (e *engine) processSequential() error {
-	nc := e.newNodeCtx(e.ctx, e.stats)
 	for id := range e.net.Nodes {
-		if err := e.processNode(nc, id); err != nil {
+		if err := e.processNode(id); err != nil {
 			return err
 		}
 	}
@@ -450,16 +425,16 @@ func (e *engine) processSequential() error {
 // checkpoint: a canceled or expired context aborts the run with
 // ctx.Err() instead of finishing the DP; combineCheck adds bounded
 // in-loop checkpoints inside large cross-products.
-func (e *engine) processNode(nc *nodeCtx, id int) error {
-	nc.stats.AddCancelCheck()
-	if err := nc.ctx.Err(); err != nil {
+func (e *engine) processNode(id int) error {
+	e.stats.AddCancelCheck()
+	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("mapper: %s canceled at node %d of %d: %w",
 			e.cfg.algorithm, id, e.net.Len(), err)
 	}
-	if err := e.faults.Check(nc.ctx, PointCombine); err != nil {
+	if err := e.faults.Check(e.ctx, PointCombine); err != nil {
 		return fmt.Errorf("mapper: %s at node %d: %w", e.cfg.algorithm, id, err)
 	}
-	nc.combines = 0
+	e.combines = 0
 	node := &e.net.Nodes[id]
 	switch node.Op {
 	case logic.Input, logic.Not:
@@ -475,13 +450,13 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 			nodeStart = time.Now()
 		}
 		var err error
-		if nc.ua, err = e.usable(node.Fanin[0], nc.ua); err != nil {
+		if e.ua, err = e.usable(node.Fanin[0], e.ua); err != nil {
 			return err
 		}
-		if nc.ub, err = e.usable(node.Fanin[1], nc.ub); err != nil {
+		if e.ub, err = e.usable(node.Fanin[1], e.ub); err != nil {
 			return err
 		}
-		tb, err := e.fill(nc, id, node.Op)
+		tb, err := e.fill(id, node.Op)
 		if err != nil {
 			return err
 		}
@@ -490,17 +465,12 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 		e.gateIdx[id] = int32(best)
 		e.formed[id] = e.form(tb.Tuples[best])
 		e.hasGate[id] = true
-		nc.stats.AddNode(tb.Len())
+		e.stats.AddNode(tb.Len())
 		if traced {
-			p := e.tracer.Capture("dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart,
-				obs.KV{Key: "cands_a", Val: int64(len(nc.ua))},
-				obs.KV{Key: "cands_b", Val: int64(len(nc.ub))},
+			e.tracer.Span("dp", fmt.Sprintf("node %d %s", id, node.Op), nodeStart,
+				obs.KV{Key: "cands_a", Val: int64(len(e.ua))},
+				obs.KV{Key: "cands_b", Val: int64(len(e.ub))},
 				obs.KV{Key: "kept", Val: int64(tb.Len())})
-			if nc.spans != nil {
-				nc.spans[id] = p
-			} else {
-				e.tracer.Emit(p)
-			}
 		}
 	default:
 		return fmt.Errorf("mapper: node %d has unsupported op %s", id, node.Op)
@@ -508,7 +478,7 @@ func (e *engine) processNode(nc *nodeCtx, id int) error {
 	return nil
 }
 
-// tableScratch is the per-worker scratch a node's table is built in:
+// tableScratch is the scratch a node's table is built in:
 // tuple.Grid for the paper's one tuple per {W,H}, tuple.Frontier in
 // Pareto mode.
 type tableScratch interface {
@@ -521,12 +491,12 @@ type tableScratch interface {
 // returns the finished table. The paper's mode composes each AND pair in
 // the order stackOrder picks; Pareto mode emits both orders and lets
 // dominance decide. An error leaves the scratch dirty; it also ends the
-// worker, so no node reuses it.
-func (e *engine) fill(nc *nodeCtx, id int, op logic.Op) (tuple.Table, error) {
-	for i := range nc.ua {
-		a := &nc.ua[i]
-		for j := range nc.ub {
-			b := &nc.ub[j]
+// run, so no node reuses it.
+func (e *engine) fill(id int, op logic.Op) (tuple.Table, error) {
+	for i := range e.ua {
+		a := &e.ua[i]
+		for j := range e.ub {
+			b := &e.ub[j]
 			orders, n := [2]bool{true, false}, 2
 			switch {
 			case op == logic.Or:
@@ -541,19 +511,19 @@ func (e *engine) fill(nc *nodeCtx, id int, op logic.Op) (tuple.Table, error) {
 				} else {
 					t = combineAnd(&a.t, &b.t, topIsA)
 				}
-				e.recordCombine(nc.stats, op, topIsA, &t, &a.t, &b.t)
-				if err := e.combineCheck(nc, id); err != nil {
+				e.recordCombine(op, topIsA, &t, &a.t, &b.t)
+				if err := e.combineCheck(id); err != nil {
 					return tuple.Table{}, err
 				}
-				nc.table.Insert(t, tuple.Deriv{A: a.ch, B: b.ch, TopIsA: topIsA})
+				e.table.Insert(t, tuple.Deriv{A: a.ch, B: b.ch, TopIsA: topIsA})
 			}
 		}
 	}
-	if nc.table.Len() == 0 {
+	if e.table.Len() == 0 {
 		return tuple.Table{}, fmt.Errorf("mapper: node %d has no feasible tuple (W<=%d, H<=%d)",
 			id, e.cfg.MaxWidth, e.cfg.MaxHeight)
 	}
-	tb := nc.table.Finish()
+	tb := e.table.Finish()
 	if e.cfg.Pareto && e.cfg.TupleBudget > 0 {
 		e.keptTuples += tb.Len()
 		if e.keptTuples > e.cfg.TupleBudget {
@@ -576,28 +546,28 @@ func (e *engine) fill(nc *nodeCtx, id int, op logic.Op) (tuple.Table, error) {
 // calls. Before it existed, a single node with a large Pareto
 // cross-product could overrun a deadline by seconds between the
 // node-boundary checks in processNode.
-func (e *engine) combineCheck(nc *nodeCtx, id int) error {
-	nc.combines++
-	if nc.combines%combineCheckInterval != 0 {
+func (e *engine) combineCheck(id int) error {
+	e.combines++
+	if e.combines%combineCheckInterval != 0 {
 		return nil
 	}
-	nc.stats.AddCancelCheck()
-	if err := nc.ctx.Err(); err != nil {
+	e.stats.AddCancelCheck()
+	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("mapper: %s canceled inside node %d after %d combines: %w",
-			e.cfg.algorithm, id, nc.combines, err)
+			e.cfg.algorithm, id, e.combines, err)
 	}
 	return nil
 }
 
-// recordCombine charges one combine call to a stats collector: the kind
-// (OR, AND in source order, AND with the stack flipped) and the
+// recordCombine charges one combine call to the run's stats collector:
+// the kind (OR, AND in source order, AND with the stack flipped) and the
 // p-discharge devices the combination materialized, recovered from the
 // cumulative OwnDisch totals so the combine functions themselves stay
-// instrumentation-free. st is nil-receiver safe (see obs.Stats), so
+// instrumentation-free. e.stats is nil-receiver safe (see obs.Stats), so
 // call sites need no guard.
-func (e *engine) recordCombine(st *obs.Stats, op logic.Op, topIsA bool, t, a, b *tuple.Tuple) {
+func (e *engine) recordCombine(op logic.Op, topIsA bool, t, a, b *tuple.Tuple) {
 	or := op == logic.Or
-	st.AddCombine(or, !or && !topIsA, int(t.OwnDisch-a.OwnDisch-b.OwnDisch))
+	e.stats.AddCombine(or, !or && !topIsA, int(t.OwnDisch-a.OwnDisch-b.OwnDisch))
 }
 
 // mixChoices hashes two child choices into a deterministic value, used for

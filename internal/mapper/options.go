@@ -96,16 +96,6 @@ type Options struct {
 	// Degraded. Ignored outside Pareto mode (the single-tuple tables
 	// are bounded by construction).
 	TupleBudget int
-	// Workers bounds the goroutines of the dynamic program. 0 picks
-	// GOMAXPROCS (with a small-network cutoff where the pool would cost
-	// more than it saves); 1 forces the sequential engine; values above 1
-	// run the readiness-scheduled parallel engine with exactly that many
-	// workers. The engines are byte-identical by contract — every result,
-	// gate, stat counter and trace span is independent of Workers — which
-	// is why Workers is deliberately excluded from the service cache key
-	// (internal/service.encodeOptions) and from the encoded OptionsJSON:
-	// it shapes throughput, never the answer.
-	Workers int
 	// StrashOff disables the structural-hashing + DCE canonicalization
 	// front-end (internal/strash) that otherwise runs before decompose.
 	// The mapper engines themselves never read it — they consume the
@@ -113,7 +103,7 @@ type Options struct {
 	// (report.PrepareNetworkMode) and the service do, and it is
 	// semantic: strash changes fanout counts and operand order, so the
 	// mapped result may differ (while staying equivalent). It therefore
-	// participates in the service cache key, unlike Workers.
+	// participates in the service cache key.
 	StrashOff bool
 	// SequenceAware enables the paper's §VII future-work refinement:
 	// after mapping, discharge points whose PBE charging scenario is
@@ -136,7 +126,7 @@ func DefaultOptions() Options {
 	}
 }
 
-// MaxShape caps MaxWidth and MaxHeight. Each DP worker keeps a dense
+// MaxShape caps MaxWidth and MaxHeight. The DP keeps a dense
 // MaxWidth x MaxHeight scratch table, and both values arrive unchecked
 // from service requests, so the cap bounds that allocation; it is far
 // above any practical domino pulldown (the paper uses 5 x 8).
@@ -155,9 +145,6 @@ func (o Options) validate() error {
 	}
 	if o.TupleBudget < 0 {
 		return fmt.Errorf("mapper: TupleBudget must be >= 0 (got %d)", o.TupleBudget)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("mapper: Workers must be >= 0 (got %d)", o.Workers)
 	}
 	return nil
 }

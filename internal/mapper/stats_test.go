@@ -1,7 +1,10 @@
 package mapper
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
@@ -9,6 +12,7 @@ import (
 
 	"soidomino/internal/logic"
 	"soidomino/internal/obs"
+	"soidomino/internal/tuple"
 )
 
 // statsNetwork is a small fixed circuit whose DP instrumentation differs
@@ -139,6 +143,88 @@ func TestStatsConcurrentRunsIndependent(t *testing.T) {
 		if st.Nodes != 5 || st.TuplesGenerated != 8 {
 			t.Errorf("run %d contaminated: nodes=%d generated=%d", i, st.Nodes, st.TuplesGenerated)
 		}
+	}
+}
+
+// TestNilStatsSmoke pins the nil-receiver contract of the stats path:
+// with no collector on the context, every recording site — including
+// recordCombine — must run on the nil *obs.Stats, in both Pareto modes.
+func TestNilStatsSmoke(t *testing.T) {
+	n := unateBench(t, "mux")
+	for _, pareto := range []bool{false, true} {
+		opt := DefaultOptions()
+		opt.Pareto = pareto
+		if _, err := SOIDominoMap(n, opt); err != nil {
+			t.Fatalf("pareto=%v with nil stats: %v", pareto, err)
+		}
+	}
+	// The helper itself must also be callable with a nil collector.
+	e := &engine{}
+	e.recordCombine(logic.Or, true, &tuple.Tuple{}, &tuple.Tuple{}, &tuple.Tuple{})
+}
+
+// TestTraceDPSpans pins the per-node span path: a fully sampled SOI run
+// emits exactly one "dp" span per And/Or node, in ascending node id,
+// each carrying its candidate counts and kept-tuple count, and the spans
+// agree with the run's stats collector.
+func TestTraceDPSpans(t *testing.T) {
+	n := unateBench(t, "b9")
+	tr := obs.NewTracer(1)
+	st := new(obs.Stats)
+	ctx := obs.WithStats(obs.WithTracer(context.Background(), tr), st)
+	if _, err := SOIDominoMapContext(ctx, n, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string           `json:"name"`
+			Cat  string           `json:"cat"`
+			Args map[string]int64 `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for id, node := range n.Nodes {
+		if node.Op == logic.And || node.Op == logic.Or {
+			want = append(want, id)
+		}
+	}
+	var got []int
+	var kept int64
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat != "dp" {
+			continue
+		}
+		var id int
+		var op string
+		if _, err := fmt.Sscanf(ev.Name, "node %d %s", &id, &op); err != nil {
+			t.Fatalf("dp span %q: %v", ev.Name, err)
+		}
+		if op != n.Nodes[id].Op.String() {
+			t.Errorf("dp span %q names op %s, node %d is %s", ev.Name, op, id, n.Nodes[id].Op)
+		}
+		for _, k := range []string{"cands_a", "cands_b", "kept"} {
+			if _, ok := ev.Args[k]; !ok {
+				t.Errorf("dp span %q lacks %s: %v", ev.Name, k, ev.Args)
+			}
+		}
+		got = append(got, id)
+		kept += ev.Args["kept"]
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("dp span node ids %v, want the And/Or nodes in order %v", got, want)
+	}
+	if int64(len(got)) != st.Nodes {
+		t.Errorf("%d dp spans, Stats.Nodes = %d", len(got), st.Nodes)
+	}
+	if kept != st.TuplesKept {
+		t.Errorf("dp spans keep %d tuples, Stats.TuplesKept = %d", kept, st.TuplesKept)
 	}
 }
 

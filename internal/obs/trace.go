@@ -32,8 +32,8 @@ type traceEvent struct {
 // writes them as Chrome trace-event JSON, loadable at ui.perfetto.dev or
 // chrome://tracing. Recording methods are nil-receiver safe; a nil
 // *Tracer is the disabled tracer. The tracer is internally locked so the
-// daemon can share one across phases, but per-node DP events come from a
-// single goroutine in practice.
+// daemon can share one across phases; per-node DP events come from the
+// run's single DP loop.
 type Tracer struct {
 	start  time.Time
 	sample int
@@ -89,50 +89,6 @@ func (t *Tracer) Span(cat, name string, start time.Time, kv ...KV) {
 	}
 	t.mu.Lock()
 	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// PendingSpan is a completed span that has been measured but not yet
-// appended to the tracer's event buffer. The parallel DP engine captures
-// per-node spans into per-worker buffers and emits them in node order
-// after the pool drains, so a trace is byte-identical regardless of the
-// worker count. The zero PendingSpan is inert: Emit ignores it.
-type PendingSpan struct {
-	ev traceEvent
-	ok bool
-}
-
-// Capture measures a span from start to now and returns it without
-// recording it; pass the result to Emit to append it later. A nil tracer
-// returns the inert zero PendingSpan.
-func (t *Tracer) Capture(cat, name string, start time.Time, kv ...KV) PendingSpan {
-	if t == nil {
-		return PendingSpan{}
-	}
-	now := time.Now()
-	ev := traceEvent{
-		name: name,
-		cat:  cat,
-		ph:   'X',
-		ts:   start.Sub(t.start).Microseconds(),
-		dur:  now.Sub(start).Microseconds(),
-		args: kv,
-	}
-	if ev.ts < 0 {
-		ev.ts = 0
-	}
-	return PendingSpan{ev: ev, ok: true}
-}
-
-// Emit appends a captured span to the event buffer. Inert spans (from a
-// zero value, a nil tracer's Capture, or a sampled-out node) are ignored,
-// so callers can emit unconditionally.
-func (t *Tracer) Emit(p PendingSpan) {
-	if t == nil || !p.ok {
-		return
-	}
-	t.mu.Lock()
-	t.events = append(t.events, p.ev)
 	t.mu.Unlock()
 }
 

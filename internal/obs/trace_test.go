@@ -29,6 +29,9 @@ func TestTracerWriteToIsValidChromeTrace(t *testing.T) {
 	start := tr.Now()
 	tr.Instant("mapper", "run", KV{"nodes", 42})
 	tr.Span("dp", "node 3 And", start, KV{"kept", 2}, KV{"cands_a", 5})
+	if tr.Len() != 2 {
+		t.Fatalf("Len = %d after an instant and a span, want 2", tr.Len())
+	}
 
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
@@ -49,7 +52,7 @@ func TestTracerWriteToIsValidChromeTrace(t *testing.T) {
 		t.Errorf("instant event wrong: %+v", in)
 	}
 	sp := got.TraceEvents[1]
-	if sp.Ph != "X" || sp.Dur == nil || sp.Cat != "dp" {
+	if sp.Ph != "X" || sp.Dur == nil || sp.Cat != "dp" || sp.Name != "node 3 And" {
 		t.Errorf("span event wrong: %+v", sp)
 	}
 	if sp.Args["kept"] != 2 || sp.Args["cands_a"] != 5 {
@@ -80,46 +83,6 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
-// TestCaptureEmit: a captured span is identical to one recorded by Span
-// directly, the zero PendingSpan is inert, and a nil tracer's Capture
-// yields the inert span — the contract the parallel engine's per-worker
-// span buffers rely on.
-func TestCaptureEmit(t *testing.T) {
-	tr := NewTracer(1)
-	start := tr.Now()
-	p := tr.Capture("dp", "node 1 And", start, KV{"kept", 3})
-	if tr.Len() != 0 {
-		t.Fatal("Capture recorded an event before Emit")
-	}
-	tr.Emit(p)
-	tr.Emit(PendingSpan{}) // inert: a sampled-out node's buffer slot
-	if tr.Len() != 1 {
-		t.Fatalf("got %d events, want 1", tr.Len())
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got chromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("trace output invalid: %v", err)
-	}
-	ev := got.TraceEvents[0]
-	if ev.Ph != "X" || ev.Cat != "dp" || ev.Name != "node 1 And" || ev.Args["kept"] != 3 {
-		t.Errorf("emitted span wrong: %+v", ev)
-	}
-
-	var nilTr *Tracer
-	if p := nilTr.Capture("c", "n", time.Time{}); p.ok {
-		t.Error("nil tracer Capture returned a live span")
-	}
-	nilTr.Emit(PendingSpan{})
-	tr.Emit(nilTr.Capture("c", "n", time.Time{}))
-	if tr.Len() != 1 {
-		t.Error("emitting a nil tracer's capture recorded an event")
-	}
-}
-
 func TestNilTracerIsDisabled(t *testing.T) {
 	var tr *Tracer
 	if tr.SampleNode(0) {
@@ -129,6 +92,7 @@ func TestNilTracerIsDisabled(t *testing.T) {
 		t.Error("nil tracer Now() is not the zero time")
 	}
 	tr.Span("c", "n", time.Time{})
+	tr.Span("dp", "node 1 And", tr.Now(), KV{"kept", 3})
 	tr.Instant("c", "n")
 	if tr.Len() != 0 {
 		t.Error("nil tracer has events")

@@ -78,7 +78,7 @@ func TestKeyMemoEntryPerKeyShapingField(t *testing.T) {
 	}
 
 	// Fields that do not shape the key share the entry: the defaulted
-	// algorithm and the worker count.
+	// algorithm and the ignored worker count.
 	n := m.lru.Len()
 	for _, req := range []MapRequest{
 		{Circuit: "mux", Algorithm: "soi"},

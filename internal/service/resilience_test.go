@@ -237,15 +237,8 @@ func TestJobEviction(t *testing.T) {
 // TestCacheKeyOptionsEncoding guards the canonical Options encoding:
 // equal Options collide, every result-shaping field differentiates, and
 // any future field of an unhandled kind fails the test until both the
-// encoder and this mutator learn about it. Fields in cacheKeyExempt are
-// required NOT to change the key — they tune execution, never the
-// result, so requests differing only there must share a cache entry.
+// encoder and this mutator learn about it.
 func TestCacheKeyOptionsEncoding(t *testing.T) {
-	// Workers: the parallel DP engine is byte-identical to the
-	// sequential one (TestParallelMatchesSequential and the root
-	// par-determinism gate enforce it), so the worker count must not
-	// fragment the cache.
-	cacheKeyExempt := map[string]bool{"Workers": true}
 	base := mapper.DefaultOptions()
 	if encodeOptions(base) != encodeOptions(base) {
 		t.Fatal("equal Options encode differently")
@@ -265,23 +258,15 @@ func TestCacheKeyOptionsEncoding(t *testing.T) {
 			t.Fatalf("mapper.Options.%s has unhandled kind %s: teach encodeOptions and this test about it",
 				rt.Field(i).Name, f.Kind())
 		}
-		changed := encodeOptions(mut) != encodeOptions(base)
-		if cacheKeyExempt[rt.Field(i).Name] {
-			if changed {
-				t.Errorf("mutating execution-only Options.%s changes the cache key", rt.Field(i).Name)
-			}
-			continue
-		}
-		if !changed {
+		if encodeOptions(mut) == encodeOptions(base) {
 			t.Errorf("mutating Options.%s does not change the cache key", rt.Field(i).Name)
 		}
 	}
 }
 
-// TestWorkersShareCacheEntry: two submissions differing only in
-// options.workers resolve to the same cache key — the second is a cache
-// hit — and return byte-identical results, the end-to-end face of the
-// parallel engine's determinism contract.
+// TestWorkersShareCacheEntry: options.workers is accepted and ignored,
+// so two submissions differing only there resolve to the same cache key
+// — the second is a cache hit — and return byte-identical results.
 func TestWorkersShareCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	code1, v1 := postMap(t, ts, `{"circuit": "mux", "options": {"workers": 1}}`)
@@ -293,7 +278,7 @@ func TestWorkersShareCacheEntry(t *testing.T) {
 		t.Fatalf("workers=4: code %d", code2)
 	}
 	if !v2.Cached {
-		t.Error("workers=4 resubmission missed the cache; Workers leaked into the cache key")
+		t.Error("workers=4 resubmission missed the cache; the ignored workers field leaked into the cache key")
 	}
 	b1, err := EncodeJSON(v1.Result)
 	if err != nil {
@@ -304,7 +289,7 @@ func TestWorkersShareCacheEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b2) {
-		t.Error("results differ across worker counts")
+		t.Error("results differ between workers=1 and workers=4 submissions")
 	}
 }
 

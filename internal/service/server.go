@@ -46,14 +46,6 @@ var (
 type Config struct {
 	// Workers is the number of concurrent mapping goroutines.
 	Workers int
-	// MapWorkers is the default per-job DP worker count (mapper
-	// Options.Workers) for requests that do not set options.workers.
-	// The default is 1: the daemon's unit of parallelism is the job —
-	// Workers concurrent jobs each mapping sequentially — so per-job
-	// parallelism is opt-in, sized against Workers to avoid
-	// oversubscription. Either way the results are byte-identical, which
-	// is why the worker count stays out of the cache key (encodeOptions).
-	MapWorkers int
 	// QueueDepth bounds the number of accepted-but-unstarted jobs; a full
 	// queue rejects submissions with 503 rather than buffering unboundedly.
 	QueueDepth int
@@ -138,7 +130,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Workers:         runtime.GOMAXPROCS(0),
-		MapWorkers:      1,
 		QueueDepth:      64,
 		CacheEntries:    256,
 		DefaultTimeout:  30 * time.Second,
@@ -153,9 +144,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Workers <= 0 {
 		c.Workers = d.Workers
-	}
-	if c.MapWorkers <= 0 {
-		c.MapWorkers = d.MapWorkers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = d.QueueDepth
@@ -372,14 +360,14 @@ type RequestOptions struct {
 	Pareto        bool   `json:"pareto,omitempty"`
 	TupleBudget   int    `json:"tuple_budget,omitempty"`
 	SequenceAware bool   `json:"sequence_aware,omitempty"`
-	// Workers is the per-job DP worker count; 0 defers to the server's
-	// Config.MapWorkers default. It tunes throughput only — the engines
-	// are byte-identical — so it does not participate in the cache key
-	// or the encoded result options.
+	// Workers is accepted for compatibility and ignored; the DP is
+	// sequential. Requests that set it decode as before (both the
+	// replica and the router reject unknown fields) and share the cache
+	// and routing key of requests that do not.
 	Workers int `json:"workers,omitempty"`
 	// StrashOff opts this submission out of the strash canonicalization
-	// front-end. Unlike Workers it is semantic (the mapping may differ,
-	// equivalently) and participates in the cache and routing key.
+	// front-end. It is semantic (the mapping may differ, equivalently)
+	// and participates in the cache and routing key.
 	StrashOff bool `json:"strash_off,omitempty"`
 }
 
@@ -463,9 +451,6 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	if ro.TupleBudget > 0 {
 		opt.TupleBudget = ro.TupleBudget
 	}
-	if ro.Workers > 0 {
-		opt.Workers = ro.Workers
-	}
 	opt.AlwaysFooted = ro.AlwaysFooted
 	opt.Pareto = ro.Pareto
 	opt.SequenceAware = ro.SequenceAware
@@ -524,10 +509,7 @@ func RequestKey(ctx context.Context, req *MapRequest) (string, error) {
 // the %+v encoding this replaces, it cannot change meaning when struct
 // field order or Stringer methods do. TestCacheKeyOptionsEncoding walks
 // the struct by reflection and fails when a future field is neither
-// represented here nor in its explicit exemption list. Workers is
-// exempt by design: the parallel engine is byte-identical to the
-// sequential one (the mapper's par-determinism gate enforces it), so
-// two requests differing only in worker count must share a cache entry.
+// represented here.
 func encodeOptions(opt mapper.Options) string {
 	b := make([]byte, 0, 96)
 	b = strconv.AppendInt(append(b, "w="...), int64(opt.MaxWidth), 10)
@@ -605,10 +587,6 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, apiError{err.Error()})
 		return
 	}
-	if opt.Workers == 0 {
-		opt.Workers = s.cfg.MapWorkers
-	}
-
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS != 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond

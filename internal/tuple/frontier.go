@@ -27,7 +27,7 @@ const MaxFrontier = 32
 // Depth). The paper's algorithm keeps exactly one tuple per {W,H} and
 // breaks ties by p_dis, which can discard a sub-solution that a later
 // combination would have preferred; the frontier closes that gap (see
-// the brute-force optimality tests). Like Grid it is a dense per-worker
+// the brute-force optimality tests). Like Grid it is a dense per-run
 // scratch — one entry list per {W,H,ParB,HasPI} cell — that Finish
 // compacts into a Table.
 type Frontier struct {

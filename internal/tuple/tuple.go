@@ -12,7 +12,7 @@
 // The DP state is laid out for the combine loop: a Tuple is a 40-byte
 // value with no pointers, derivations live in a store beside the tuples
 // and are written only for kept candidates, and a node's table is built
-// in a dense per-worker {W,H} scratch (Grid, or Frontier in Pareto mode)
+// in a dense per-run {W,H} scratch (Grid, or Frontier in Pareto mode)
 // that is compacted into an exact-size Table in (W,H) order when the node
 // finishes. That order is the DP's determinism source: every tie-break
 // and every child enumeration reads it.
@@ -139,8 +139,8 @@ func (tb Table) Best(less Less) (int, bool) {
 }
 
 // Grid builds one node's single-tuple table: a dense {W,H} array holding
-// the best tuple found so far per shape. One Grid serves every node a
-// worker processes; Finish compacts it and leaves it empty.
+// the best tuple found so far per shape. One Grid serves every node of
+// a run; Finish compacts it and leaves it empty.
 type Grid struct {
 	maxW, maxH int
 	less       Less

@@ -1,11 +1,16 @@
 package soidomino
 
 import (
-	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"soidomino/internal/benchfmt"
+	"soidomino/internal/blif"
 	"soidomino/internal/cluster"
+	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
 	"soidomino/internal/report"
 	"soidomino/internal/service"
@@ -13,13 +18,48 @@ import (
 	"soidomino/internal/verify"
 )
 
+// testdataCircuits loads every circuit under testdata/ (the committed
+// BLIF/bench files plus the fuzz corpus), the circuit set the
+// strash-determinism gate sweeps.
+func testdataCircuits(t testing.TB) map[string]*logic.Network {
+	t.Helper()
+	out := make(map[string]*logic.Network)
+	add := func(path string) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var n *logic.Network
+		if strings.HasSuffix(path, ".bench") {
+			n, err = benchfmt.Parse(path, f)
+		} else {
+			n, err = blif.Parse(f)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out[filepath.Base(path)] = n
+	}
+	for _, pat := range []string{"testdata/*.blif", "testdata/*.bench", "testdata/fuzz/corpus/*.blif"} {
+		paths, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			add(p)
+		}
+	}
+	if len(out) < 5 {
+		t.Fatalf("expected at least 5 testdata circuits, found %d", len(out))
+	}
+	return out
+}
+
 // TestStrashDeterminismGate is the `make strash-determinism` gate: over
 // every committed testdata circuit, the strash front-end must be
-// byte-stable across repeated runs and idempotent, and — because the
-// mapping pipeline consumes its output — the strash-on mapping must stay
-// byte-identical across Workers settings (the par-determinism contract
-// extended through the new front-end). Any instability here would split
-// the cluster's cache and break the routing-key golden.
+// byte-stable across repeated runs and idempotent. Any instability here
+// would split the cluster's cache and break the routing-key golden.
 func TestStrashDeterminismGate(t *testing.T) {
 	for name, src := range testdataCircuits(t) {
 		r1 := strash.Run(src)
@@ -39,34 +79,6 @@ func TestStrashDeterminismGate(t *testing.T) {
 		if again.Counters.Merged != 0 || again.Counters.Dead != 0 {
 			t.Fatalf("%s: re-strash still reduced: %+v", name, again.Counters)
 		}
-
-		// Byte-identical strash-on mapping across worker counts, via the
-		// shared service encoding (the par-determinism gate's comparison
-		// surface). PrepareNetwork runs strash by default.
-		pipe, err := report.PrepareNetwork(src)
-		if err != nil {
-			t.Fatalf("%s: prepare: %v", name, err)
-		}
-		var want []byte
-		for _, workers := range []int{1, 4} {
-			opt := mapper.DefaultOptions()
-			opt.Workers = workers
-			res, err := mapByAlgo("soi", pipe.Unate, opt)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			got, err := service.EncodeJSON(service.NewMapResult(name, pipe, res))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: strash-on mapping differs between workers=1 and workers=%d", name, workers)
-			}
-		}
 	}
 }
 
@@ -82,8 +94,8 @@ func TestStrashOnOffEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s strashOff=%t: prepare: %v", name, strashOff, err)
 			}
-			for _, algo := range []string{"domino", "soi"} {
-				res, err := mapByAlgo(algo, pipe.Unate, mapper.DefaultOptions())
+			for _, algo := range []report.Algorithm{report.Domino, report.SOI} {
+				res, err := pipe.Map(algo, mapper.DefaultOptions(), false)
 				if err != nil {
 					t.Fatalf("%s/%s strashOff=%t: %v", name, algo, strashOff, err)
 				}
