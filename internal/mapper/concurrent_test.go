@@ -170,6 +170,25 @@ func TestMidNodeCancellationRegression(t *testing.T) {
 	}
 }
 
+// TestParallelCancellation: on a circuit large enough to have been split
+// across workers, a context canceled before the run or partway through
+// it aborts both mappers with context.Canceled and no result.
+func TestParallelCancellation(t *testing.T) {
+	n := unateBench(t, "c880")
+	for _, m := range []struct {
+		name string
+		run  func(context.Context, *logic.Network, Options) (*Result, error)
+	}{{"soi", SOIDominoMapContext}, {"domino", DominoMapContext}} {
+		for _, after := range []int64{0, int64(n.Len() / 2)} {
+			ctx := &errAfterCtx{Context: context.Background(), after: after}
+			res, err := m.run(ctx, n, DefaultOptions())
+			if res != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s, flip after %d checks: got (%v, %v), want nil result and context.Canceled", m.name, after, res, err)
+			}
+		}
+	}
+}
+
 // TestFedConstantError: a constant node feeding gates fails the run with
 // the "fold constants" root cause, not a cancellation.
 func TestFedConstantError(t *testing.T) {
