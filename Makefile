@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-baseline obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check fmt vet perfbench-vet build test race bench bench-baseline obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
-check: fmt vet build race obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+check: fmt vet perfbench-vet build race obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
 # Fails listing every file gofmt would rewrite.
 fmt:
@@ -13,6 +13,11 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a nested module: the root vet, build and test never
+# compile it, so a mapper API change that breaks the benchmark shows here.
+perfbench-vet:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 build:
 	$(GO) build ./...

@@ -1,6 +1,7 @@
 package soidomino
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -152,7 +153,7 @@ func BenchmarkFigure2Simulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := fig2.Map(report.Domino, mapper.DefaultOptions(), false)
+	res, err := fig2.Map(mapper.Domino, mapper.DefaultOptions(), false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func BenchmarkMapDes(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := mapper.SOIDominoMap(u.Network, mapper.DefaultOptions())
+		res, err := mapper.Map(context.Background(), mapper.SOI, u.Network, mapper.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func BenchmarkMapDesBaseline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mapper.DominoMap(u.Network, mapper.DefaultOptions()); err != nil {
+		if _, err := mapper.Map(context.Background(), mapper.Domino, u.Network, mapper.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +257,7 @@ func BenchmarkSimulatorCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := p.Map(report.SOI, mapper.DefaultOptions(), false)
+	res, err := p.Map(mapper.SOI, mapper.DefaultOptions(), false)
 	if err != nil {
 		b.Fatal(err)
 	}

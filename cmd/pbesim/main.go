@@ -69,12 +69,12 @@ func figure2Demo(vcdPath string) error {
 
 	cases := []struct {
 		label   string
-		algo    report.Algorithm
+		algo    mapper.Algorithm
 		disable bool
 	}{
-		{"Domino_Map, discharge device DISCONNECTED", report.Domino, true},
-		{"Domino_Map, discharge device active      ", report.Domino, false},
-		{"SOI_Domino_Map (no discharge needed)     ", report.SOI, false},
+		{"Domino_Map, discharge device DISCONNECTED", mapper.Domino, true},
+		{"Domino_Map, discharge device active      ", mapper.Domino, false},
+		{"SOI_Domino_Map (no discharge needed)     ", mapper.SOI, false},
 	}
 	for _, tc := range cases {
 		p, err := report.PrepareNetwork(fig2())
@@ -137,12 +137,12 @@ func stress(name string, cycles int, seed int64) error {
 	}
 	for _, tc := range []struct {
 		label   string
-		algo    report.Algorithm
+		algo    mapper.Algorithm
 		disable bool
 	}{
-		{"Domino_Map unprotected", report.Domino, true},
-		{"Domino_Map protected  ", report.Domino, false},
-		{"SOI_Domino_Map        ", report.SOI, false},
+		{"Domino_Map unprotected", mapper.Domino, true},
+		{"Domino_Map protected  ", mapper.Domino, false},
+		{"SOI_Domino_Map        ", mapper.SOI, false},
 	} {
 		res, err := p.Map(tc.algo, mapper.DefaultOptions(), false)
 		if err != nil {

@@ -152,6 +152,10 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown objective %q", *objective)
 	}
+	alg, err := mapper.ParseAlgorithm(*algo)
+	if err != nil {
+		return err
+	}
 
 	label := src.Name
 	if *circuit != "" {
@@ -187,19 +191,7 @@ func run() error {
 		fmt.Printf("unate:  %s (%d duplicated gates)\n", p.Unate, p.Duplicated)
 	}
 
-	var res *mapper.Result
-	switch *algo {
-	case "domino":
-		res, err = mapper.DominoMapContext(ctx, p.Unate, opt)
-	case "rs":
-		res, err = mapper.RSMapContext(ctx, p.Unate, opt)
-	case "rsdeep":
-		res, err = mapper.RSMapDeepContext(ctx, p.Unate, opt)
-	case "soi":
-		res, err = mapper.SOIDominoMapContext(ctx, p.Unate, opt)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := mapper.Map(ctx, alg, p.Unate, opt)
 	if err != nil {
 		return err
 	}

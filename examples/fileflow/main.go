@@ -65,7 +65,7 @@ func flow(src *logic.Network, outdir string) error {
 	if err != nil {
 		return err
 	}
-	res, err := p.Map(report.SOI, mapper.DefaultOptions(), true) // verified
+	res, err := p.Map(mapper.SOI, mapper.DefaultOptions(), true) // verified
 	if err != nil {
 		return err
 	}

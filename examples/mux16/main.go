@@ -31,7 +31,7 @@ func main() {
 	// discharge points.
 	opt.BaselineStackOrder = mapper.OrderHashed
 
-	for _, algo := range []report.Algorithm{report.Domino, report.RS, report.SOI} {
+	for _, algo := range []mapper.Algorithm{mapper.Domino, mapper.RS, mapper.SOI} {
 		res, err := p.Map(algo, opt, true) // true: verify equivalence
 		if err != nil {
 			log.Fatal(err)

@@ -41,7 +41,7 @@ func figure2() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := p.Map(report.Domino, mapper.DefaultOptions(), true)
+	res, err := p.Map(mapper.Domino, mapper.DefaultOptions(), true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func stress() {
 
 	for _, tc := range []struct {
 		label   string
-		algo    report.Algorithm
+		algo    mapper.Algorithm
 		disable bool
 	}{
-		{"bulk mapping, unprotected", report.Domino, true},
-		{"bulk mapping, discharges inserted", report.Domino, false},
-		{"SOI mapping (zero discharges)", report.SOI, false},
+		{"bulk mapping, unprotected", mapper.Domino, true},
+		{"bulk mapping, discharges inserted", mapper.Domino, false},
+		{"SOI mapping (zero discharges)", mapper.SOI, false},
 	} {
 		res, err := p.Map(tc.algo, mapper.DefaultOptions(), false)
 		if err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,8 +45,9 @@ func main() {
 
 	// 3. Map to SOI domino logic: the DP minimizes total transistors
 	//    including the p-discharge devices that prevent the Parasitic
-	//    Bipolar Effect.
-	res, err := mapper.SOIDominoMap(u.Network, mapper.DefaultOptions())
+	//    Bipolar Effect. mapper.Domino and mapper.RS are the PBE-blind
+	//    baselines the paper compares against.
+	res, err := mapper.Map(context.Background(), mapper.SOI, u.Network, mapper.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,22 +27,14 @@ func TestPipelineEndToEnd(t *testing.T) {
 		"x-dec4", "x-cmp8", "x-par16", "x-gray8", "x-csa16",
 	}
 	algos := []struct {
-		name string
-		fn   func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error)
+		name   string
+		alg    mapper.Algorithm
+		pareto bool
 	}{
-		{"domino", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			return p.Map(report.Domino, opt, false)
-		}},
-		{"rs", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			return p.Map(report.RS, opt, false)
-		}},
-		{"soi", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			return p.Map(report.SOI, opt, false)
-		}},
-		{"soi-pareto", func(p *report.Pipeline, opt mapper.Options) (*mapper.Result, error) {
-			opt.Pareto = true
-			return mapper.SOIDominoMap(p.Unate, opt)
-		}},
+		{"domino", mapper.Domino, false},
+		{"rs", mapper.RS, false},
+		{"soi", mapper.SOI, false},
+		{"soi-pareto", mapper.SOI, true},
 	}
 
 	for _, name := range circuits {
@@ -55,7 +47,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 			opt := mapper.DefaultOptions()
 			opt.BaselineStackOrder = mapper.OrderHashed
 			for _, algo := range algos {
-				res, err := algo.fn(p, opt)
+				o := opt
+				o.Pareto = algo.pareto
+				res, err := p.Map(algo.alg, o, false)
 				if err != nil {
 					t.Fatalf("%s: %v", algo.name, err)
 				}
@@ -121,7 +115,7 @@ func TestCompoundPipelineEndToEnd(t *testing.T) {
 			}
 			opt := mapper.DefaultOptions()
 			opt.BaselineStackOrder = mapper.OrderHashed
-			res, err := p.Map(report.Domino, opt, false)
+			res, err := p.Map(mapper.Domino, opt, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +159,7 @@ func TestBenchSuiteMapsEverywhere(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := p.Map(report.SOI, mapper.DefaultOptions(), false)
+		res, err := p.Map(mapper.SOI, mapper.DefaultOptions(), false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -158,8 +158,6 @@ func workloads() []workload {
 	return out
 }
 
-var algos = []string{"domino", "rs", "rsdeep", "soi"}
-
 // Run executes one campaign and returns its report. The returned error
 // covers harness failures (listen, shutdown); verification findings go
 // to Report.Violations.
@@ -325,7 +323,8 @@ func workloadFromRequest(req *service.MapRequest) (workload, bool) {
 func randRequest(rng *rand.Rand, pool []workload) (workload, service.MapRequest) {
 	wl := pool[rng.Intn(len(pool))]
 	req := wl.req
-	req.Algorithm = algos[rng.Intn(len(algos))]
+	algos := mapper.Algorithms()
+	req.Algorithm = algos[rng.Intn(len(algos))].Key()
 	opts := service.RequestOptions{ClockWeight: 1 + rng.Intn(2)}
 	if rng.Intn(3) == 0 {
 		opts.Pareto = true
@@ -469,17 +468,11 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	if err != nil {
 		return "clean pipeline failed: " + err.Error()
 	}
-	var res *mapper.Result
-	switch req.Algorithm {
-	case "domino":
-		res, err = mapper.DominoMapContext(ctx, pipe.Unate, opt)
-	case "rs":
-		res, err = mapper.RSMapContext(ctx, pipe.Unate, opt)
-	case "rsdeep":
-		res, err = mapper.RSMapDeepContext(ctx, pipe.Unate, opt)
-	default:
-		res, err = mapper.SOIDominoMapContext(ctx, pipe.Unate, opt)
+	alg, err := mapper.ParseAlgorithm(req.Algorithm)
+	if err != nil {
+		return "request algorithm did not resolve: " + err.Error()
 	}
+	res, err := mapper.Map(ctx, alg, pipe.Unate, opt)
 	if err != nil {
 		return "clean mapping failed: " + err.Error()
 	}
@@ -503,16 +496,9 @@ func verifyDone(req *service.MapRequest, wl workload, v *service.JobView, simCyc
 	// Full oracle battery over the clean (byte-identical) result.
 	fcfg := fuzz.DefaultConfig()
 	fcfg.SimCycles = simCycles
-	algoEnum := report.SOI
-	switch req.Algorithm {
-	case "domino":
-		algoEnum = report.Domino
-	case "rs", "rsdeep":
-		algoEnum = report.RS
-	}
 	c := &fuzz.Case{Seed: seed, Cfg: &fcfg, Net: src, Pipe: pipe}
 	vr := &fuzz.VariantResult{
-		Variant: fuzz.Variant{Name: req.Algorithm, Algo: algoEnum, Opt: opt},
+		Variant: fuzz.Variant{Name: req.Algorithm, Algo: alg, Opt: opt},
 		Res:     res,
 	}
 	c.Variants = []*fuzz.VariantResult{vr}

@@ -15,6 +15,7 @@ import (
 
 	"soidomino/internal/client"
 	"soidomino/internal/cluster"
+	"soidomino/internal/mapper"
 	"soidomino/internal/service"
 )
 
@@ -328,10 +329,11 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 	// the outage, so the restarted (cold) victim must answer the repeat
 	// from the sibling's cache — a peer hit — instead of remapping.
 	sweep := func(tag int) {
+		algos := mapper.Algorithms()
 		for wi, wl := range pool {
-			for ai, algo := range algos {
+			for ai, alg := range algos {
 				req := wl.req
-				req.Algorithm = algo
+				req.Algorithm = alg.Key()
 				rep.Requests++
 				v, err := cli.Map(ctx, &req)
 				classify(tag+wi*len(algos)+ai, wl, &req, v, err)

@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,8 +12,7 @@ import (
 	"soidomino/internal/unate"
 )
 
-func mapNet(t *testing.T, n *logic.Network,
-	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) *mapper.Result {
+func mapNet(t *testing.T, n *logic.Network, alg mapper.Algorithm) *mapper.Result {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -22,7 +22,7 @@ func mapNet(t *testing.T, n *logic.Network,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := algo(u.Network, mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), alg, u.Network, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestBufferGateDelay(t *testing.T) {
 	n := logic.New("buf")
 	a := n.AddInput("a")
 	n.AddOutput("f", a)
-	res := mapNet(t, n, mapper.DominoMap)
+	res := mapNet(t, n, mapper.Domino)
 	p := DefaultParams()
 	an, err := Analyze(res, p)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestSeriesStackDelay(t *testing.T) {
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.And, a, b))
-	res := mapNet(t, n, mapper.DominoMap) // source order: a on top
+	res := mapNet(t, n, mapper.Domino) // source order: a on top
 	if got := res.Gates[0].Tree.String(); got != "a*b" {
 		t.Fatalf("tree = %q", got)
 	}
@@ -77,7 +77,7 @@ func TestNegatedInputAddsInverter(t *testing.T) {
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.Nor, a, b)) // unate form: !a * !b
-	res := mapNet(t, n, mapper.DominoMap)
+	res := mapNet(t, n, mapper.Domino)
 	p := Params{TauStack: 1, TauPos: 0, TauGate: 0, TauLoad: 0, TauInv: 3}
 	an, err := Analyze(res, p)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestCascadeAccumulates(t *testing.T) {
 	g := n.AddGate(logic.And, a, b)
 	n.AddOutput("g", g)
 	n.AddOutput("f", n.AddGate(logic.And, g, c))
-	res := mapNet(t, n, mapper.DominoMap)
+	res := mapNet(t, n, mapper.Domino)
 	an, err := Analyze(res, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestCompoundPaysExtraStage(t *testing.T) {
 		return n.AddGate(logic.Or, n.AddGate(logic.Or, br[0], br[1]), br[2])
 	}
 	n.AddOutput("f", n.AddGate(logic.And, stack('a'), stack('j')))
-	res, err := mapper.DominoMap(n, mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), mapper.Domino, n, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestReorderingDelayIsSecondOrder(t *testing.T) {
 	p := DefaultParams()
 	for trial := 0; trial < 10; trial++ {
 		n := randomCircuit(rng)
-		base := mapNet(t, n, mapper.DominoMap)
-		soi := mapNet(t, n, mapper.SOIDominoMap)
+		base := mapNet(t, n, mapper.Domino)
+		soi := mapNet(t, n, mapper.SOI)
 		ab, err := Analyze(base, p)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestReorderingDelayIsSecondOrder(t *testing.T) {
 func TestArrivalMonotoneAlongPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	n := randomCircuit(rng)
-	res := mapNet(t, n, mapper.SOIDominoMap)
+	res := mapNet(t, n, mapper.SOI)
 	an, err := Analyze(res, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestArrivalMonotoneAlongPath(t *testing.T) {
 func TestNoOutputs(t *testing.T) {
 	n := logic.New("empty")
 	n.AddInput("a")
-	res := mapNet(t, n, mapper.DominoMap)
+	res := mapNet(t, n, mapper.Domino)
 	an, err := Analyze(res, DefaultParams())
 	if err != nil {
 		t.Fatal(err)

@@ -31,13 +31,12 @@ import (
 	"soidomino/internal/bench"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
-	"soidomino/internal/report"
 )
 
 // Variant is one point of the mapping-option grid a case is swept over.
 type Variant struct {
 	Name string
-	Algo report.Algorithm
+	Algo mapper.Algorithm
 	Opt  mapper.Options
 }
 
@@ -47,7 +46,7 @@ type Variant struct {
 // objective, so k=2 depth duplicates are pruned; 36 variants total.
 func DefaultVariants() []Variant {
 	var vs []Variant
-	for _, algo := range []report.Algorithm{report.Domino, report.RS, report.SOI} {
+	for _, algo := range []mapper.Algorithm{mapper.Domino, mapper.RS, mapper.SOI} {
 		for _, obj := range []mapper.Objective{mapper.Area, mapper.Depth} {
 			ks := []int{1, 2}
 			if obj == mapper.Depth {
@@ -75,7 +74,7 @@ func DefaultVariants() []Variant {
 	return vs
 }
 
-func variantName(algo report.Algorithm, opt mapper.Options) string {
+func variantName(algo mapper.Algorithm, opt mapper.Options) string {
 	foot := "footless"
 	if opt.AlwaysFooted {
 		foot = "footed"

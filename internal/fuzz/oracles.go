@@ -5,7 +5,6 @@ import (
 
 	"soidomino/internal/mapper"
 	"soidomino/internal/pbe"
-	"soidomino/internal/report"
 	"soidomino/internal/soisim"
 	"soidomino/internal/verify"
 )
@@ -143,7 +142,7 @@ func crossStrash(c *Case) []Violation {
 				Detail: fmt.Sprintf("strash-off pipeline failed: %v", err),
 			})
 		}
-		rawRes, err := mapVariant(c.Context(), v.Variant, raw.Unate)
+		rawRes, err := mapper.Map(c.Context(), v.Algo, raw.Unate, v.Opt)
 		if err != nil {
 			if c.Context().Err() != nil {
 				return out // sweep canceled or timed out: not this oracle's finding
@@ -201,10 +200,10 @@ func strashSlack(off, eps int) int {
 func crossTotal(c *Case) []Violation {
 	var out []Violation
 	for _, v := range c.Variants {
-		if v.Algo != report.SOI || v.Res == nil || v.Opt.Objective != mapper.Area {
+		if v.Algo != mapper.SOI || v.Res == nil || v.Opt.Objective != mapper.Area {
 			continue
 		}
-		dom := c.Counterpart(v, report.Domino)
+		dom := c.Counterpart(v, mapper.Domino)
 		if dom == nil || dom.Res == nil {
 			continue
 		}
@@ -226,10 +225,10 @@ func crossTotal(c *Case) []Violation {
 func crossDisch(c *Case) []Violation {
 	var out []Violation
 	for _, v := range c.Variants {
-		if v.Algo != report.SOI || v.Res == nil || v.Opt.Objective != mapper.Area {
+		if v.Algo != mapper.SOI || v.Res == nil || v.Opt.Objective != mapper.Area {
 			continue
 		}
-		rs := c.Counterpart(v, report.RS)
+		rs := c.Counterpart(v, mapper.RS)
 		if rs == nil || rs.Res == nil {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
-	"soidomino/internal/report"
 )
 
 // invertReorderContext arms the SOI reorder-inversion Flip fault
@@ -28,8 +27,8 @@ func faultConfig() Config {
 	opt := mapper.DefaultOptions()
 	opt.BaselineStackOrder = mapper.OrderHashed
 	cfg.Variants = []Variant{
-		{Name: variantName(report.SOI, opt), Algo: report.SOI, Opt: opt},
-		{Name: variantName(report.RS, opt), Algo: report.RS, Opt: opt},
+		{Name: variantName(mapper.SOI, opt), Algo: mapper.SOI, Opt: opt},
+		{Name: variantName(mapper.RS, opt), Algo: mapper.RS, Opt: opt},
 	}
 	cfg.Oracles = []Oracle{}
 	cfg.Cross = []CrossOracle{{Name: "metamorphic-disch", Check: crossDisch}}

@@ -10,7 +10,6 @@ import (
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/logic"
 	"soidomino/internal/mapper"
-	"soidomino/internal/report"
 	"soidomino/internal/strash"
 )
 
@@ -23,7 +22,7 @@ func strashFaultConfig() Config {
 	cfg := DefaultConfig()
 	opt := mapper.DefaultOptions()
 	opt.BaselineStackOrder = mapper.OrderHashed
-	cfg.Variants = []Variant{{Name: variantName(report.SOI, opt), Algo: report.SOI, Opt: opt}}
+	cfg.Variants = []Variant{{Name: variantName(mapper.SOI, opt), Algo: mapper.SOI, Opt: opt}}
 	cfg.Oracles = []Oracle{{Name: "equivalence", Check: checkEquivalence}}
 	cfg.Cross = []CrossOracle{}
 	return cfg

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -58,8 +59,7 @@ func TestChainEmpty(t *testing.T) {
 	}
 }
 
-func mapNet(t *testing.T, n *logic.Network,
-	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) *mapper.Result {
+func mapNet(t *testing.T, n *logic.Network, alg mapper.Algorithm) *mapper.Result {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -71,7 +71,7 @@ func mapNet(t *testing.T, n *logic.Network,
 	}
 	opt := mapper.DefaultOptions()
 	opt.BaselineStackOrder = mapper.OrderHashed
-	res, err := algo(u.Network, opt)
+	res, err := mapper.Map(context.Background(), alg, u.Network, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestDischargeWidensPRow(t *testing.T) {
 	// The fig. 2 gate under the baseline carries one p-discharge device;
 	// under the SOI mapping it does not. The p-row must be wider in the
 	// baseline by at least a device pitch.
-	base, err := Analyze(mapNet(t, fig2Network(), mapper.DominoMap), DefaultParams())
+	base, err := Analyze(mapNet(t, fig2Network(), mapper.Domino), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	soi, err := Analyze(mapNet(t, fig2Network(), mapper.SOIDominoMap), DefaultParams())
+	soi, err := Analyze(mapNet(t, fig2Network(), mapper.SOI), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestAreaAcrossSuite(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
 		n := randomCircuit(rng)
-		base, err := Analyze(mapNet(t, n, mapper.DominoMap), DefaultParams())
+		base, err := Analyze(mapNet(t, n, mapper.Domino), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		soi, err := Analyze(mapNet(t, n, mapper.SOIDominoMap), DefaultParams())
+		soi, err := Analyze(mapNet(t, n, mapper.SOI), DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,7 +63,7 @@ func stackedStacks() *logic.Network {
 
 func TestCompoundTransformSeriesSplit(t *testing.T) {
 	opt := DefaultOptions()
-	res, err := DominoMap(stackedStacks(), opt) // source order: first stack on top
+	res, err := Map(context.Background(), Domino, stackedStacks(), opt) // source order: first stack on top
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCompoundTransformSeriesSplit(t *testing.T) {
 func TestCompoundTransformSkipsUnprofitable(t *testing.T) {
 	// Fig. 4(b): only 2 discharges; the conversion overhead (~5) exceeds
 	// the saving, so the gate stays plain.
-	res, err := DominoMap(fig2Network(), DefaultOptions())
+	res, err := Map(context.Background(), Domino, fig2Network(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestCompoundForcedNANDSplit(t *testing.T) {
 	or2 := n.AddGate(logic.Or, branches[2], branches[3])
 	n.AddOutput("f", n.AddGate(logic.Or, or1, or2))
 
-	res, err := DominoMap(n, DefaultOptions())
+	res, err := Map(context.Background(), Domino, n, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCompoundForcedNANDSplit(t *testing.T) {
 }
 
 func TestCompoundIdempotent(t *testing.T) {
-	res, err := DominoMap(stackedStacks(), DefaultOptions())
+	res, err := Map(context.Background(), Domino, stackedStacks(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCompoundKindString(t *testing.T) {
 }
 
 func TestCompoundDumpMentionsKind(t *testing.T) {
-	res, err := DominoMap(stackedStacks(), DefaultOptions())
+	res, err := Map(context.Background(), Domino, stackedStacks(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

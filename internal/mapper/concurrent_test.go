@@ -45,7 +45,7 @@ func TestConcurrentMappingMatchesSerial(t *testing.T) {
 	want := make(map[string]string, len(circuits))
 	for _, name := range circuits {
 		nets[name] = unateBench(t, name)
-		res, err := SOIDominoMap(nets[name], opt)
+		res, err := Map(context.Background(), SOI, nets[name], opt)
 		if err != nil {
 			t.Fatalf("%s: serial map: %v", name, err)
 		}
@@ -60,7 +60,7 @@ func TestConcurrentMappingMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(name string) {
 				defer wg.Done()
-				res, err := SOIDominoMap(nets[name], opt)
+				res, err := Map(context.Background(), SOI, nets[name], opt)
 				if err != nil {
 					errs <- err
 					return
@@ -82,7 +82,7 @@ func TestContextCancellationAbortsDP(t *testing.T) {
 	n := unateBench(t, "c880")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SOIDominoMapContext(ctx, n, DefaultOptions())
+	res, err := Map(ctx, SOI, n, DefaultOptions())
 	if res != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got (%v, %v), want nil result and context.Canceled", res, err)
 	}
@@ -92,24 +92,30 @@ func TestContextExpiredDeadlineAbortsDP(t *testing.T) {
 	n := unateBench(t, "c880")
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := DominoMapContext(ctx, n, DefaultOptions())
+	res, err := Map(ctx, Domino, n, DefaultOptions())
 	if res != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got (%v, %v), want nil result and context.DeadlineExceeded", res, err)
 	}
 }
 
+// TestContextBackgroundMatchesPlainAPI: each deprecated ...MapContext
+// wrapper maps exactly as Map does under its Algorithm.
 func TestContextBackgroundMatchesPlainAPI(t *testing.T) {
 	n := unateBench(t, "mux")
-	plain, err := SOIDominoMap(n, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	withCtx, err := SOIDominoMapContext(context.Background(), n, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Dump() != withCtx.Dump() {
-		t.Error("context variant diverges from plain API")
+	for alg, wrapper := range map[Algorithm]func(context.Context, *logic.Network, Options) (*Result, error){
+		Domino: DominoMapContext, RS: RSMapContext, RSDeep: RSMapDeepContext, SOI: SOIDominoMapContext,
+	} {
+		plain, err := Map(context.Background(), alg, n, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := wrapper(context.Background(), n, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.Dump() != wrapped.Dump() {
+			t.Errorf("%s: deprecated wrapper diverges from Map", alg)
+		}
 	}
 }
 
@@ -145,7 +151,7 @@ func TestMidNodeCancellationRegression(t *testing.T) {
 
 	// Baseline: count checkpoints on an uncanceled run.
 	st := new(obs.Stats)
-	if _, err := SOIDominoMapContext(obs.WithStats(context.Background(), st), n, opt); err != nil {
+	if _, err := Map(obs.WithStats(context.Background(), st), SOI, n, opt); err != nil {
 		t.Fatal(err)
 	}
 	boundary := int64(n.Len())
@@ -157,7 +163,7 @@ func TestMidNodeCancellationRegression(t *testing.T) {
 	sawInLoop := false
 	for after := int64(0); after < st.CancelChecks; after++ {
 		ctx := &errAfterCtx{Context: context.Background(), after: after}
-		res, err := SOIDominoMapContext(ctx, n, opt)
+		res, err := Map(ctx, SOI, n, opt)
 		if res != nil || !errors.Is(err, context.Canceled) {
 			t.Fatalf("flip after %d checks: got (%v, %v), want canceled", after, res, err)
 		}
@@ -175,15 +181,12 @@ func TestMidNodeCancellationRegression(t *testing.T) {
 // it aborts both mappers with context.Canceled and no result.
 func TestParallelCancellation(t *testing.T) {
 	n := unateBench(t, "c880")
-	for _, m := range []struct {
-		name string
-		run  func(context.Context, *logic.Network, Options) (*Result, error)
-	}{{"soi", SOIDominoMapContext}, {"domino", DominoMapContext}} {
+	for _, alg := range []Algorithm{SOI, Domino} {
 		for _, after := range []int64{0, int64(n.Len() / 2)} {
 			ctx := &errAfterCtx{Context: context.Background(), after: after}
-			res, err := m.run(ctx, n, DefaultOptions())
+			res, err := Map(ctx, alg, n, DefaultOptions())
 			if res != nil || !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s, flip after %d checks: got (%v, %v), want nil result and context.Canceled", m.name, after, res, err)
+				t.Fatalf("%s, flip after %d checks: got (%v, %v), want nil result and context.Canceled", alg, after, res, err)
 			}
 		}
 	}
@@ -200,7 +203,7 @@ func TestFedConstantError(t *testing.T) {
 	h := n.AddGate(logic.Or, g, b)
 	n.AddOutput("o", h)
 
-	_, err := SOIDominoMap(n, DefaultOptions())
+	_, err := Map(context.Background(), SOI, n, DefaultOptions())
 	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "fold constants") {
 		t.Fatalf("got %v, want the fed-constant error", err)
 	}

@@ -45,7 +45,7 @@ func TestTupleBudgetDegradesGracefully(t *testing.T) {
 
 	full := DefaultOptions()
 	full.Pareto = true
-	ref, err := SOIDominoMap(n, full)
+	ref, err := Map(context.Background(), SOI, n, full)
 	if err != nil {
 		t.Fatalf("unbudgeted pareto run failed: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestTupleBudgetDegradesGracefully(t *testing.T) {
 
 	tight := full
 	tight.TupleBudget = 4
-	res, err := SOIDominoMap(n, tight)
+	res, err := Map(context.Background(), SOI, n, tight)
 	if err != nil {
 		t.Fatalf("budgeted run failed instead of degrading: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestTupleBudgetDegradesGracefully(t *testing.T) {
 	// A generous budget must not degrade.
 	loose := full
 	loose.TupleBudget = 1 << 20
-	if res, err := SOIDominoMap(n, loose); err != nil || res.Degraded {
+	if res, err := Map(context.Background(), SOI, n, loose); err != nil || res.Degraded {
 		t.Errorf("generous budget degraded (err=%v)", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestTupleBudgetIgnoredOutsidePareto(t *testing.T) {
 	n := fig3Network()
 	opt := fig3Options()
 	opt.TupleBudget = 1
-	res, err := SOIDominoMap(n, opt)
+	res, err := Map(context.Background(), SOI, n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTupleBudgetIgnoredOutsidePareto(t *testing.T) {
 func TestNegativeTupleBudgetRejected(t *testing.T) {
 	opt := DefaultOptions()
 	opt.TupleBudget = -1
-	if _, err := SOIDominoMap(fig3Network(), opt); err == nil {
+	if _, err := Map(context.Background(), SOI, fig3Network(), opt); err == nil {
 		t.Fatal("negative TupleBudget accepted")
 	}
 }
@@ -133,7 +133,7 @@ func TestFaultPointsAbortRun(t *testing.T) {
 		reg := faultpoint.New(1)
 		reg.Arm(point, faultpoint.Fault{Kind: faultpoint.Error, Prob: 1})
 		ctx := faultpoint.With(context.Background(), reg)
-		_, err := SOIDominoMapContext(ctx, n, fig3Options())
+		_, err := Map(ctx, SOI, n, fig3Options())
 		if !errors.Is(err, faultpoint.ErrInjected) {
 			t.Fatalf("point %s: err = %v, want ErrInjected", point, err)
 		}
@@ -142,7 +142,7 @@ func TestFaultPointsAbortRun(t *testing.T) {
 		}
 	}
 	// No registry on the context: the same options map cleanly.
-	if _, err := SOIDominoMapContext(context.Background(), n, fig3Options()); err != nil {
+	if _, err := Map(context.Background(), SOI, n, fig3Options()); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestFlipFaultInvertsReorder(t *testing.T) {
 	flipped := func() (*Result, *faultpoint.Registry) {
 		reg := faultpoint.New(1)
 		reg.Arm(PointInvertReorder, faultpoint.Fault{Kind: faultpoint.Flip, Prob: 1})
-		res, err := SOIDominoMapContext(faultpoint.With(context.Background(), reg), n, opt)
+		res, err := Map(faultpoint.With(context.Background(), reg), SOI, n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestFlipFaultInvertsReorder(t *testing.T) {
 	}
 	checkMappedEquivalent(t, n, inv)
 
-	clean, err := SOIDominoMap(n, opt)
+	clean, err := Map(context.Background(), SOI, n, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package mapper
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestWriteDotMapped(t *testing.T) {
-	res, err := SOIDominoMap(fig2Network(), DefaultOptions())
+	res, err := Map(context.Background(), SOI, fig2Network(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestWriteDotMapped(t *testing.T) {
 func TestWriteDotDedupesEdges(t *testing.T) {
 	// Gate using the same input twice gets one edge from it.
 	n := fig3Network()
-	res, err := DominoMap(n, fig3Options())
+	res, err := Map(context.Background(), Domino, n, fig3Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestWriteDotDedupesEdges(t *testing.T) {
 }
 
 func TestWriteDotCompoundLabel(t *testing.T) {
-	res, err := DominoMap(stackedStacks(), DefaultOptions())
+	res, err := Map(context.Background(), Domino, stackedStacks(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

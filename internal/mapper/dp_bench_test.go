@@ -1,6 +1,7 @@
 package mapper_test
 
 import (
+	"context"
 	"testing"
 
 	"soidomino/internal/bench"
@@ -22,19 +23,19 @@ func BenchmarkDP(b *testing.B) {
 		}
 		for _, v := range []struct {
 			name   string
+			alg    mapper.Algorithm
 			pareto bool
-			mapFn  func(opt mapper.Options) (*mapper.Result, error)
 		}{
-			{"domino", false, func(opt mapper.Options) (*mapper.Result, error) { return mapper.DominoMap(pipe.Unate, opt) }},
-			{"soi", false, func(opt mapper.Options) (*mapper.Result, error) { return mapper.SOIDominoMap(pipe.Unate, opt) }},
-			{"soi-pareto", true, func(opt mapper.Options) (*mapper.Result, error) { return mapper.SOIDominoMap(pipe.Unate, opt) }},
+			{"domino", mapper.Domino, false},
+			{"soi", mapper.SOI, false},
+			{"soi-pareto", mapper.SOI, true},
 		} {
 			b.Run(circuit+"/"+v.name, func(b *testing.B) {
 				opt := mapper.DefaultOptions()
 				opt.Pareto = v.pareto
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := v.mapFn(opt); err != nil {
+					if _, err := mapper.Map(context.Background(), v.alg, pipe.Unate, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -12,89 +12,78 @@ import (
 	"soidomino/internal/unate"
 )
 
-// DominoMap runs the bulk-CMOS baseline: the dynamic program minimizes the
-// objective without regard to discharge transistors; series stacks keep
-// their natural (first-fanin-on-top) order; p-discharge devices are added
-// by post-processing the finished trees.
-func DominoMap(n *logic.Network, opt Options) (*Result, error) {
-	return DominoMapContext(context.Background(), n, opt)
+// Algorithm selects one of the mappers (see the package comment). All
+// run the same dynamic program: SOI puts discharge transistors into its
+// cost and orders stacks while combining; RS and RSDeep add a post-pass
+// to Domino.
+type Algorithm uint8
+
+const (
+	Domino Algorithm = iota // PBE-blind baseline; discharges inserted after mapping
+	RS                      // Domino + Rearrange_Stacks on each gate's ground-side stack (§VI-A)
+	RSDeep                  // RS's post-pass applied to every series group (extension)
+	SOI                     // discharge-aware DP cost and par_b/p_dis stack order (§V)
+)
+
+// algorithms gives each Algorithm its request key and display name.
+var algorithms = [...]struct{ key, name string }{
+	Domino: {"domino", "Domino_Map"},
+	RS:     {"rs", "RS_Map"},
+	RSDeep: {"rsdeep", "RS_Map_deep"},
+	SOI:    {"soi", "SOI_Domino_Map"},
 }
 
-// DominoMapContext is DominoMap with cancellation: the run observes ctx at
+func (a Algorithm) valid() bool { return int(a) < len(algorithms) }
+
+// Algorithms lists every Algorithm in order.
+func Algorithms() []Algorithm { return []Algorithm{Domino, RS, RSDeep, SOI} }
+
+// String returns the paper's name of the algorithm, e.g. "SOI_Domino_Map".
+func (a Algorithm) String() string {
+	if !a.valid() {
+		return fmt.Sprintf("Algorithm(%d)", a)
+	}
+	return algorithms[a].name
+}
+
+// Key returns the algorithm's request key: domino, rs, rsdeep or soi.
+func (a Algorithm) Key() string { return algorithms[a].key }
+
+// ParseAlgorithm resolves a request key to its Algorithm.
+func ParseAlgorithm(key string) (Algorithm, error) {
+	for a, s := range algorithms {
+		if s.key == key {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", key)
+}
+
+// Map runs alg over a unate network. The run observes ctx at
 // node-processing checkpoints and returns ctx.Err() if it is canceled or
 // its deadline passes before the dynamic program completes.
-func DominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, config{Options: opt, algorithm: "Domino_Map"})
-}
-
-// RSMap is DominoMap plus the Rearrange_Stacks post-processing step: each
-// finished gate's series stacks are reordered to move parallel sections
-// with many potential discharge points toward ground before discharge
-// insertion (paper §VI-A).
-func RSMap(n *logic.Network, opt Options) (*Result, error) {
-	return RSMapContext(context.Background(), n, opt)
-}
-
-// RSMapContext is RSMap with cancellation (see DominoMapContext).
-func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, config{Options: opt, algorithm: "RS_Map", rearrangePost: rearrangeTop})
-}
-
-// RSMapDeep is an extension of RSMap whose post-processing reorders every
-// series group, including those nested inside parallel branches — stronger
-// than the paper's RS_Map but still a pure post-process. The ablation
-// benchmarks compare all three.
-func RSMapDeep(n *logic.Network, opt Options) (*Result, error) {
-	return RSMapDeepContext(context.Background(), n, opt)
-}
-
-// RSMapDeepContext is RSMapDeep with cancellation (see DominoMapContext).
-func RSMapDeepContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	return run(ctx, n, config{Options: opt, algorithm: "RS_Map_deep", rearrangePost: rearrangeDeep})
-}
-
-// SOIDominoMap runs the paper's algorithm (§V, listing 2): discharge
-// transistors are part of the DP cost, series stacks are ordered at
-// combine time using par_b and p_dis, and cost ties are broken by p_dis.
-func SOIDominoMap(n *logic.Network, opt Options) (*Result, error) {
-	return SOIDominoMapContext(context.Background(), n, opt)
-}
-
-// SOIDominoMapContext is SOIDominoMap with cancellation (see
-// DominoMapContext).
-func SOIDominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
-	name := "SOI_Domino_Map"
-	if opt.Pareto {
-		name = "SOI_Domino_Map_pareto"
-	}
-	return run(ctx, n, config{
-		Options:         opt,
-		algorithm:       name,
-		trackDischarges: true,
-		reorderStacks:   true,
-	})
-}
-
-func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
+func Map(ctx context.Context, alg Algorithm, n *logic.Network, opt Options) (*Result, error) {
+	cfg := config{Options: opt, alg: alg}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if err := unate.IsUnate(n); err != nil {
 		return nil, fmt.Errorf("mapper: input network is not unate: %w", err)
 	}
+	name := cfg.name()
 	e := newEngine(ctx, n, cfg)
-	e.stats.SetAlgorithm(cfg.algorithm)
+	e.stats.SetAlgorithm(name)
 	if e.tracer != nil {
 		kv := []obs.KV{{Key: "nodes", Val: int64(n.Len())}}
 		if id := obs.RequestID(ctx); id != "" {
-			e.tracer.Instant("mapper", "run "+cfg.algorithm+" request "+id, kv...)
+			e.tracer.Instant("mapper", "run "+name+" request "+id, kv...)
 		} else {
-			e.tracer.Instant("mapper", "run "+cfg.algorithm, kv...)
+			e.tracer.Instant("mapper", "run "+name, kv...)
 		}
 	}
 	dpStart := e.tracer.Now()
 	err := obs.Timed(e.stats, obs.PhaseDP, e.process)
-	e.tracer.Span("mapper", cfg.algorithm+" dp", dpStart)
+	e.tracer.Span("mapper", name+" dp", dpStart)
 	if err != nil {
 		return nil, err
 	}
@@ -102,18 +91,38 @@ func run(ctx context.Context, n *logic.Network, cfg config) (*Result, error) {
 	var res *Result
 	err = obs.Timed(e.stats, obs.PhaseTraceback, func() error {
 		if ferr := e.faults.Check(ctx, PointTraceback); ferr != nil {
-			return fmt.Errorf("mapper: %s traceback: %w", cfg.algorithm, ferr)
+			return fmt.Errorf("mapper: %s traceback: %w", name, ferr)
 		}
 		var terr error
 		res, terr = e.traceback()
 		return terr
 	})
-	e.tracer.Span("mapper", cfg.algorithm+" traceback", tbStart)
+	e.tracer.Span("mapper", name+" traceback", tbStart)
 	if err != nil {
 		return nil, err
 	}
 	res.Degraded = e.degraded
 	return res, nil
+}
+
+// Deprecated: use Map with Domino.
+func DominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
+	return Map(ctx, Domino, n, opt)
+}
+
+// Deprecated: use Map with RS.
+func RSMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
+	return Map(ctx, RS, n, opt)
+}
+
+// Deprecated: use Map with RSDeep.
+func RSMapDeepContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
+	return Map(ctx, RSDeep, n, opt)
+}
+
+// Deprecated: use Map with SOI.
+func SOIDominoMapContext(ctx context.Context, n *logic.Network, opt Options) (*Result, error) {
+	return Map(ctx, SOI, n, opt)
 }
 
 // newEngine sets up the DP state for one run of a validated config.
@@ -192,13 +201,13 @@ func (e *engine) tupleCost(t tuple.Tuple) int {
 	switch e.cfg.Objective {
 	case Depth:
 		c := e.cfg.DepthWeight * int(t.Depth)
-		if e.cfg.trackDischarges {
+		if e.cfg.alg == SOI {
 			c += int(t.NDisch)
 		}
 		return c
 	default:
 		c := int(t.NTrans) + e.cfg.ClockWeight*int(t.NClock)
-		if e.cfg.trackDischarges {
+		if e.cfg.alg == SOI {
 			c += e.cfg.ClockWeight * int(t.NDisch)
 		}
 		return c
@@ -213,7 +222,7 @@ func (e *engine) less(a, b tuple.Tuple) bool {
 	if ca, cb := e.tupleCost(a), e.tupleCost(b); ca != cb {
 		return ca < cb
 	}
-	if e.cfg.trackDischarges {
+	if e.cfg.alg == SOI {
 		if a.PDis != b.PDis {
 			return a.PDis < b.PDis
 		}
@@ -337,14 +346,13 @@ func combineOr(a, b *tuple.Tuple) tuple.Tuple {
 }
 
 // stackOrder decides combine_and's series order, reporting whether a
-// goes on top. With reorderStacks the order is chosen from par_b and
-// p_dis: a parallel-at-bottom input goes to the bottom (it may reach
-// ground); if both or neither qualify, the larger p_dis goes to the
-// bottom. The PBE-blind mappers keep source order or, under
+// goes on top. SOI chooses the order from par_b and p_dis: a
+// parallel-at-bottom input goes to the bottom (it may reach ground); if
+// both or neither qualify, the larger p_dis goes to the bottom. The PBE-blind mappers keep source order or, under
 // OrderHashed, a pseudorandom one.
 func (e *engine) stackOrder(a, b *cand) bool {
 	switch {
-	case e.cfg.reorderStacks:
+	case e.cfg.alg == SOI:
 		topIsA := true
 		switch {
 		case a.t.ParB && !b.t.ParB:
@@ -429,10 +437,10 @@ func (e *engine) processNode(id int) error {
 	e.stats.AddCancelCheck()
 	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("mapper: %s canceled at node %d of %d: %w",
-			e.cfg.algorithm, id, e.net.Len(), err)
+			e.cfg.name(), id, e.net.Len(), err)
 	}
 	if err := e.faults.Check(e.ctx, PointCombine); err != nil {
-		return fmt.Errorf("mapper: %s at node %d: %w", e.cfg.algorithm, id, err)
+		return fmt.Errorf("mapper: %s at node %d: %w", e.cfg.name(), id, err)
 	}
 	e.combines = 0
 	node := &e.net.Nodes[id]
@@ -554,7 +562,7 @@ func (e *engine) combineCheck(id int) error {
 	e.stats.AddCancelCheck()
 	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("mapper: %s canceled inside node %d after %d combines: %w",
-			e.cfg.algorithm, id, e.combines, err)
+			e.cfg.name(), id, e.combines, err)
 	}
 	return nil
 }

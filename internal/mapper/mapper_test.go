@@ -49,7 +49,7 @@ func fig3Options() Options {
 func TestFigure3Tuples(t *testing.T) {
 	n := fig3Network()
 	// The network is already decomposed and unate.
-	e := newEngine(context.Background(), n, config{Options: fig3Options(), algorithm: "test"})
+	e := newEngine(context.Background(), n, config{Options: fig3Options(), alg: Domino})
 	if err := e.process(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestFigure3Tuples(t *testing.T) {
 // TestFigure3EndToEnd checks the mapped netlist: one 9-transistor footed
 // gate with no discharge devices.
 func TestFigure3EndToEnd(t *testing.T) {
-	for _, f := range []func(*logic.Network, Options) (*Result, error){DominoMap, RSMap, SOIDominoMap} {
-		res, err := f(fig3Network(), fig3Options())
+	for _, alg := range []Algorithm{Domino, RS, SOI} {
+		res, err := Map(context.Background(), alg, fig3Network(), fig3Options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestFigure3EndToEnd(t *testing.T) {
 func TestFigure2StackOrder(t *testing.T) {
 	opt := DefaultOptions()
 
-	base, err := DominoMap(fig2Network(), opt)
+	base, err := Map(context.Background(), Domino, fig2Network(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFigure2StackOrder(t *testing.T) {
 		t.Errorf("Domino_Map tree = %q, want (A+B+C)*D", got)
 	}
 
-	rs, err := RSMap(fig2Network(), opt)
+	rs, err := Map(context.Background(), RS, fig2Network(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFigure2StackOrder(t *testing.T) {
 		t.Errorf("RS_Map Tdisch = %d, want 0", rs.Stats.TDisch)
 	}
 
-	soi, err := SOIDominoMap(fig2Network(), opt)
+	soi, err := Map(context.Background(), SOI, fig2Network(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFigure2StackOrder(t *testing.T) {
 }
 
 // mapAll runs the full pipeline (decompose, unate, map) for one algorithm.
-func mapAll(t *testing.T, n *logic.Network, algo func(*logic.Network, Options) (*Result, error), opt Options) *Result {
+func mapAll(t *testing.T, n *logic.Network, alg Algorithm, opt Options) *Result {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -162,7 +162,7 @@ func mapAll(t *testing.T, n *logic.Network, algo func(*logic.Network, Options) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := algo(u.Network, opt)
+	res, err := Map(context.Background(), alg, u.Network, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestMappedEquivalenceSmall(t *testing.T) {
 	m := n.AddGate(logic.And, n.AddGate(logic.Or, x, c), n.AddGate(logic.Nand, b, d))
 	n.AddOutput("f", m)
 	n.AddOutput("g", n.AddGate(logic.Nor, x, d))
-	for _, algo := range []func(*logic.Network, Options) (*Result, error){DominoMap, RSMap, SOIDominoMap} {
+	for _, algo := range []Algorithm{Domino, RS, SOI} {
 		res := mapAll(t, n, algo, DefaultOptions())
 		checkMappedEquivalent(t, n, res)
 	}
@@ -232,7 +232,7 @@ func TestMultiFanoutGateSharedOnce(t *testing.T) {
 	n.AddOutput("x", n.AddGate(logic.And, g, c))
 	n.AddOutput("y", n.AddGate(logic.Or, g, d))
 	n.AddOutput("z", n.AddGate(logic.And, g, e))
-	res := mapAll(t, n, SOIDominoMap, DefaultOptions())
+	res := mapAll(t, n, SOI, DefaultOptions())
 	count := 0
 	for _, gate := range res.Gates {
 		for _, leaf := range gate.Tree.Leaves() {
@@ -264,7 +264,7 @@ func TestOutputOnInputGetsBuffer(t *testing.T) {
 	b := n.AddInput("b")
 	n.AddOutput("fa", a)
 	n.AddOutput("fab", n.AddGate(logic.And, a, b))
-	res := mapAll(t, n, SOIDominoMap, DefaultOptions())
+	res := mapAll(t, n, SOI, DefaultOptions())
 	checkMappedEquivalent(t, n, res)
 	gid, ok := res.OutputGate["fa"]
 	if !ok {
@@ -280,7 +280,7 @@ func TestConstOutput(t *testing.T) {
 	a := n.AddInput("a")
 	n.AddOutput("one", n.AddGate(logic.Or, a, n.AddGate(logic.Not, a)))
 	n.AddOutput("fa", a)
-	res := mapAll(t, n, DominoMap, DefaultOptions())
+	res := mapAll(t, n, Domino, DefaultOptions())
 	if v, ok := res.ConstOutputs["one"]; !ok || !v {
 		t.Errorf("constant output not detected: %v", res.ConstOutputs)
 	}
@@ -289,9 +289,9 @@ func TestConstOutput(t *testing.T) {
 
 func TestAlwaysFootedAddsFeet(t *testing.T) {
 	opt := DefaultOptions()
-	res1 := mapAll(t, fig3Network(), DominoMap, opt)
+	res1 := mapAll(t, fig3Network(), Domino, opt)
 	opt.AlwaysFooted = true
-	res2 := mapAll(t, fig3Network(), DominoMap, opt)
+	res2 := mapAll(t, fig3Network(), Domino, opt)
 	if res2.Stats.TClock <= res1.Stats.TClock-1 {
 		t.Errorf("AlwaysFooted Tclock %d vs %d", res2.Stats.TClock, res1.Stats.TClock)
 	}
@@ -313,7 +313,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MaxWidth: 5, MaxHeight: MaxShape + 1, ClockWeight: 1, DepthWeight: 1},
 	}
 	for i, opt := range bad {
-		if _, err := DominoMap(n, opt); err == nil {
+		if _, err := Map(context.Background(), Domino, n, opt); err == nil {
 			t.Errorf("options case %d should fail", i)
 		}
 	}
@@ -330,7 +330,7 @@ func TestOversizedShapeRejectedWithoutAllocating(t *testing.T) {
 		opt.MaxWidth, opt.MaxHeight = 1<<30, 1<<30
 		opt.Pareto = pareto
 		var err error
-		allocs := testing.AllocsPerRun(5, func() { _, err = SOIDominoMap(n, opt) })
+		allocs := testing.AllocsPerRun(5, func() { _, err = Map(context.Background(), SOI, n, opt) })
 		if err == nil || !strings.Contains(err.Error(), "MaxWidth/MaxHeight") {
 			t.Fatalf("pareto=%v: got %v, want a MaxWidth/MaxHeight validation error", pareto, err)
 		}
@@ -341,7 +341,7 @@ func TestOversizedShapeRejectedWithoutAllocating(t *testing.T) {
 	// The cap itself is accepted.
 	opt := DefaultOptions()
 	opt.MaxWidth, opt.MaxHeight = MaxShape, MaxShape
-	if _, err := SOIDominoMap(n, opt); err != nil {
+	if _, err := Map(context.Background(), SOI, n, opt); err != nil {
 		t.Fatalf("MaxShape x MaxShape rejected: %v", err)
 	}
 }
@@ -351,7 +351,7 @@ func TestRejectsNonUnate(t *testing.T) {
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.Xor, a, b))
-	if _, err := SOIDominoMap(n, DefaultOptions()); err == nil {
+	if _, err := Map(context.Background(), SOI, n, DefaultOptions()); err == nil {
 		t.Error("mapper should reject non-unate networks")
 	}
 }
@@ -359,6 +359,53 @@ func TestRejectsNonUnate(t *testing.T) {
 func TestObjectiveString(t *testing.T) {
 	if Area.String() != "area" || Depth.String() != "depth" {
 		t.Error("Objective.String broken")
+	}
+}
+
+// TestAlgorithmString pins each algorithm's display name, which Map
+// records as Result.Algorithm, and its request key's round trip.
+func TestAlgorithmString(t *testing.T) {
+	n := fig2Network()
+	for _, tc := range []struct {
+		alg         Algorithm
+		pareto      bool
+		key, name   string
+		resultLabel string
+	}{
+		{Domino, false, "domino", "Domino_Map", "Domino_Map"},
+		{RS, false, "rs", "RS_Map", "RS_Map"},
+		{RSDeep, false, "rsdeep", "RS_Map_deep", "RS_Map_deep"},
+		{SOI, false, "soi", "SOI_Domino_Map", "SOI_Domino_Map"},
+		{SOI, true, "soi", "SOI_Domino_Map", "SOI_Domino_Map_pareto"},
+	} {
+		if got := tc.alg.String(); got != tc.name {
+			t.Errorf("%d.String() = %q, want %q", tc.alg, got, tc.name)
+		}
+		if got := tc.alg.Key(); got != tc.key {
+			t.Errorf("%s.Key() = %q, want %q", tc.alg, got, tc.key)
+		}
+		if got, err := ParseAlgorithm(tc.key); err != nil || got != tc.alg {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %s", tc.key, got, err, tc.alg)
+		}
+		opt := DefaultOptions()
+		opt.Pareto = tc.pareto
+		res, err := Map(context.Background(), tc.alg, n, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != tc.resultLabel {
+			t.Errorf("%s (pareto %v): Result.Algorithm = %q, want %q", tc.alg, tc.pareto, res.Algorithm, tc.resultLabel)
+		}
+	}
+	if len(Algorithms()) != 4 {
+		t.Errorf("Algorithms() = %v, want the four mappers", Algorithms())
+	}
+	const want = `unknown algorithm "fast" (want domino, rs, rsdeep or soi)`
+	if _, err := ParseAlgorithm("fast"); err == nil || err.Error() != want {
+		t.Errorf("ParseAlgorithm(fast) error = %v, want %s", err, want)
+	}
+	if res, err := Map(context.Background(), Algorithm(99), n, DefaultOptions()); err == nil || res != nil {
+		t.Errorf("Map(Algorithm(99)) = %v, %v; want an error", res, err)
 	}
 }
 
@@ -413,8 +460,8 @@ func TestMapperEquivalenceQuick(t *testing.T) {
 			return false
 		}
 		var disch [3]int
-		for ai, algo := range []func(*logic.Network, Options) (*Result, error){DominoMap, RSMap, SOIDominoMap} {
-			res, err := algo(u.Network, opt)
+		for ai, alg := range []Algorithm{Domino, RS, SOI} {
+			res, err := Map(context.Background(), alg, u.Network, opt)
 			if err != nil {
 				return false
 			}
@@ -480,13 +527,13 @@ func TestDPPredictsDischarges(t *testing.T) {
 	opt := DefaultOptions()
 	for trial := 0; trial < 30; trial++ {
 		n := treeCircuit(rng, 6+rng.Intn(20))
-		res, err := SOIDominoMap(n, opt)
+		res, err := Map(context.Background(), SOI, n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Reconstruct the DP totals for the root gate.
 		e := newEngine(context.Background(), n,
-			config{Options: opt, algorithm: "x", trackDischarges: true, reorderStacks: true})
+			config{Options: opt, alg: SOI})
 		if err := e.process(); err != nil {
 			t.Fatal(err)
 		}
@@ -510,8 +557,8 @@ func TestDepthObjective(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Objective = Depth
 
-	base := mapAll(t, n, DominoMap, opt)
-	soi := mapAll(t, n, SOIDominoMap, opt)
+	base := mapAll(t, n, Domino, opt)
+	soi := mapAll(t, n, SOI, opt)
 	checkMappedEquivalent(t, n, base)
 	checkMappedEquivalent(t, n, soi)
 	if base.Stats.Levels < 1 || soi.Stats.Levels < 1 {
@@ -534,8 +581,8 @@ func TestClockWeightReducesClockLoad(t *testing.T) {
 	opt1 := DefaultOptions()
 	opt2 := DefaultOptions()
 	opt2.ClockWeight = 2
-	r1 := mapAll(t, n, SOIDominoMap, opt1)
-	r2 := mapAll(t, n, SOIDominoMap, opt2)
+	r1 := mapAll(t, n, SOI, opt1)
+	r2 := mapAll(t, n, SOI, opt2)
 	if r2.Stats.TClock > r1.Stats.TClock {
 		t.Errorf("k=2 Tclock %d > k=1 Tclock %d", r2.Stats.TClock, r1.Stats.TClock)
 	}
@@ -543,14 +590,14 @@ func TestClockWeightReducesClockLoad(t *testing.T) {
 }
 
 func TestResultEvalMissingInput(t *testing.T) {
-	res := mapAll(t, fig3Network(), DominoMap, fig3Options())
+	res := mapAll(t, fig3Network(), Domino, fig3Options())
 	if _, err := res.Eval(map[string]bool{"a": true}); err == nil {
 		t.Error("Eval with missing inputs should fail")
 	}
 }
 
 func TestStatsString(t *testing.T) {
-	res := mapAll(t, fig3Network(), DominoMap, fig3Options())
+	res := mapAll(t, fig3Network(), Domino, fig3Options())
 	if res.Stats.String() == "" {
 		t.Error("Stats.String empty")
 	}

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,7 +150,7 @@ func TestBaselineOptimalOnTrees(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomUnateTree(rng, 3+rng.Intn(4))
-		res, err := DominoMap(n, opt)
+		res, err := Map(context.Background(), Domino, n, opt)
 		if err != nil {
 			return false
 		}
@@ -174,14 +175,14 @@ func TestParetoOptimalOnTrees(t *testing.T) {
 		n := randomUnateTree(rng, 3+rng.Intn(4))
 		want := bruteMin(n, opt.MaxWidth, opt.MaxHeight, true)
 
-		pareto, err := SOIDominoMap(n, pOpt)
+		pareto, err := Map(context.Background(), SOI, n, pOpt)
 		if err != nil || pareto.Audit() != nil {
 			return false
 		}
 		if pareto.Stats.TTotal != want {
 			return false
 		}
-		plain, err := SOIDominoMap(n, opt)
+		plain, err := Map(context.Background(), SOI, n, opt)
 		if err != nil || plain.Audit() != nil {
 			return false
 		}
@@ -202,10 +203,8 @@ func TestParetoNeverWorse(t *testing.T) {
 	pOpt.Pareto = true
 	for trial := 0; trial < 15; trial++ {
 		n := randomCircuit(rng)
-		plain := mapAll(t, n, SOIDominoMap, opt)
-		pareto := mapAll(t, n, func(u *logic.Network, _ Options) (*Result, error) {
-			return SOIDominoMap(u, pOpt)
-		}, pOpt)
+		plain := mapAll(t, n, SOI, opt)
+		pareto := mapAll(t, n, SOI, pOpt)
 		if pareto.Stats.TTotal > plain.Stats.TTotal {
 			t.Errorf("trial %d: pareto Ttotal %d > plain %d", trial,
 				pareto.Stats.TTotal, plain.Stats.TTotal)
@@ -225,11 +224,11 @@ func TestParetoFindsStrictImprovement(t *testing.T) {
 	for seed := int64(0); seed < 400 && improved == 0; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomUnateTree(rng, 4+rng.Intn(4))
-		plain, err := SOIDominoMap(n, opt)
+		plain, err := Map(context.Background(), SOI, n, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pareto, err := SOIDominoMap(n, pOpt)
+		pareto, err := Map(context.Background(), SOI, n, pOpt)
 		if err != nil {
 			t.Fatal(err)
 		}

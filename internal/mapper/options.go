@@ -1,18 +1,19 @@
-// Package mapper implements the paper's three technology mappers for
-// domino logic:
+// Package mapper implements the paper's technology mappers for domino
+// logic, one dynamic program run by Map under one of four Algorithms:
 //
-//   - DominoMap: the bulk-CMOS baseline (Zhao–Sapatnekar ICCAD '98 dynamic
+//   - Domino: the bulk-CMOS baseline (Zhao–Sapatnekar ICCAD '98 dynamic
 //     programming) that ignores the Parasitic Bipolar Effect; p-discharge
 //     transistors are inserted by a post-processing pass.
-//   - RSMap: DominoMap plus the Rearrange_Stacks post-processing step that
+//   - RS: Domino plus the Rearrange_Stacks post-processing step that
 //     reorders series stacks to move parallel sections toward ground before
-//     inserting discharges (paper §VI-A).
-//   - SOIDominoMap: the paper's contribution (§V): the DP cost includes
-//     the discharge transistors implied by each partial structure, series
+//     inserting discharges (paper §VI-A). RSDeep extends the post-pass to
+//     every series group.
+//   - SOI: the paper's contribution (§V): the DP cost includes the
+//     discharge transistors implied by each partial structure, series
 //     stacks are ordered during combination using par_b and p_dis, and
 //     ties are broken by p_dis.
 //
-// All three accept a unate network (2-input AND/OR gates, inverters only
+// All accept a unate network (2-input AND/OR gates, inverters only
 // directly on primary inputs; see internal/unate) and produce a gate-level
 // domino netlist of series-parallel pulldown trees with discharge devices
 // attached, ready for transistor-level realization.
@@ -38,8 +39,9 @@ func (o Objective) String() string {
 	return "area"
 }
 
-// StackOrder selects how the PBE-blind mappers (DominoMap, RSMap) order
-// series stacks, a choice they make without regard to discharge points.
+// StackOrder selects how the PBE-blind algorithms (Domino, RS, RSDeep)
+// order series stacks, a choice they make without regard to discharge
+// points.
 type StackOrder uint8
 
 const (
@@ -76,15 +78,15 @@ type Options struct {
 	// with primary-input-driven pulldown transistors (listing 2).
 	AlwaysFooted bool
 	// BaselineStackOrder controls series-stack order in the PBE-blind
-	// mappers; SOIDominoMap ignores it (it orders stacks by par_b/p_dis).
+	// algorithms; SOI ignores it (it orders stacks by par_b/p_dis).
 	BaselineStackOrder StackOrder
-	// Pareto enables the frontier extension of SOIDominoMap: instead of
-	// the paper's single best tuple per {W,H} (ties broken by p_dis), the
-	// DP keeps every (cost, p_dis, p_dis_bot, depth)-incomparable
+	// Pareto enables the frontier extension of SOI: instead of the
+	// paper's single best tuple per {W,H} (ties broken by p_dis), the DP
+	// keeps every (cost, p_dis, p_dis_bot, depth)-incomparable
 	// sub-solution and considers both series orders at every AND. This
 	// closes the heuristic gap of the paper's tie-breaking (the
 	// brute-force optimality tests pin it) at a modest runtime cost.
-	// Ignored by the PBE-blind mappers, whose scalar cost makes the
+	// Ignored by the PBE-blind algorithms, whose scalar cost makes the
 	// frontier collapse to the single best tuple anyway.
 	Pareto bool
 	// TupleBudget bounds the cumulative number of tuples the Pareto DP
@@ -149,20 +151,25 @@ func (o Options) validate() error {
 	return nil
 }
 
-// rearrangeMode selects the RS_Map post-processing strength.
-type rearrangeMode uint8
-
-const (
-	rearrangeNone rearrangeMode = iota
-	rearrangeTop                // paper's RS_Map: the gate's ground-side series stack
-	rearrangeDeep               // extension: every series group, including branch-internal
-)
-
-// config is an Options plus the per-algorithm behaviour switches.
+// config is one run's Options and Algorithm. Everything that tells the
+// algorithms apart derives from alg.
 type config struct {
 	Options
-	algorithm       string
-	trackDischarges bool // include materialized discharges in the DP cost
-	reorderStacks   bool // order series stacks by par_b/p_dis at combine time
-	rearrangePost   rearrangeMode
+	alg Algorithm
+}
+
+func (c config) validate() error {
+	if !c.alg.valid() {
+		return fmt.Errorf("mapper: unknown algorithm %d", c.alg)
+	}
+	return c.Options.validate()
+}
+
+// name is the run's Result.Algorithm: the display name, suffixed _pareto
+// for SOI's frontier mode.
+func (c config) name() string {
+	if c.alg == SOI && c.Pareto {
+		return "SOI_Domino_Map_pareto" // a constant: no allocation per run
+	}
+	return c.alg.String()
 }

@@ -33,13 +33,11 @@ func statsNetwork() *logic.Network {
 	return n
 }
 
-type mapCtxFunc func(context.Context, *logic.Network, Options) (*Result, error)
-
-func runWithStats(t *testing.T, f mapCtxFunc) *obs.Stats {
+func runWithStats(t *testing.T, alg Algorithm) *obs.Stats {
 	t.Helper()
 	st := &obs.Stats{}
 	ctx := obs.WithStats(context.Background(), st)
-	if _, err := f(ctx, statsNetwork(), DefaultOptions()); err != nil {
+	if _, err := Map(ctx, alg, statsNetwork(), DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -53,22 +51,22 @@ func runWithStats(t *testing.T, f mapCtxFunc) *obs.Stats {
 func TestStatsDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
-		f    mapCtxFunc
+		alg  Algorithm
 		want obs.Stats
 	}{
-		{"domino", DominoMapContext, obs.Stats{
+		{"domino", Domino, obs.Stats{
 			Algorithm: "Domino_Map", Nodes: 5,
 			TuplesGenerated: 8, TuplesPruned: 0, TuplesKept: 8,
 			CombineOr: 4, CombineAndOrdered: 4, CombineAndReordered: 0,
 			FrontierHighWater: 3, DPDischargeCharges: 2, CancelChecks: 10,
 		}},
-		{"rs", RSMapContext, obs.Stats{
+		{"rs", RS, obs.Stats{
 			Algorithm: "RS_Map", Nodes: 5,
 			TuplesGenerated: 8, TuplesPruned: 0, TuplesKept: 8,
 			CombineOr: 4, CombineAndOrdered: 4, CombineAndReordered: 0,
 			FrontierHighWater: 3, DPDischargeCharges: 2, CancelChecks: 10,
 		}},
-		{"soi", SOIDominoMapContext, obs.Stats{
+		{"soi", SOI, obs.Stats{
 			Algorithm: "SOI_Domino_Map", Nodes: 5,
 			TuplesGenerated: 8, TuplesPruned: 0, TuplesKept: 8,
 			CombineOr: 4, CombineAndOrdered: 2, CombineAndReordered: 2,
@@ -77,7 +75,7 @@ func TestStatsDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runWithStats(t, tc.f)
+			got := runWithStats(t, tc.alg)
 			got.Phases = obs.PhaseTimes{} // wall times are not deterministic
 			if *got != tc.want {
 				t.Errorf("stats mismatch:\n got %+v\nwant %+v", *got, tc.want)
@@ -93,7 +91,7 @@ func TestStatsInvariants(t *testing.T) {
 	opt.Pareto = true
 	st := &obs.Stats{}
 	ctx := obs.WithStats(context.Background(), st)
-	if _, err := SOIDominoMapContext(ctx, statsNetwork(), opt); err != nil {
+	if _, err := Map(ctx, SOI, statsNetwork(), opt); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.CombineOr + st.CombineAndOrdered + st.CombineAndReordered; got != st.TuplesGenerated {
@@ -126,7 +124,7 @@ func TestStatsConcurrentRunsIndependent(t *testing.T) {
 			defer wg.Done()
 			st := &obs.Stats{}
 			ctx := obs.WithStats(context.Background(), st)
-			if _, err := SOIDominoMapContext(ctx, statsNetwork(), DefaultOptions()); err != nil {
+			if _, err := Map(ctx, SOI, statsNetwork(), DefaultOptions()); err != nil {
 				t.Error(err)
 				return
 			}
@@ -154,7 +152,7 @@ func TestNilStatsSmoke(t *testing.T) {
 	for _, pareto := range []bool{false, true} {
 		opt := DefaultOptions()
 		opt.Pareto = pareto
-		if _, err := SOIDominoMap(n, opt); err != nil {
+		if _, err := Map(context.Background(), SOI, n, opt); err != nil {
 			t.Fatalf("pareto=%v with nil stats: %v", pareto, err)
 		}
 	}
@@ -172,7 +170,7 @@ func TestTraceDPSpans(t *testing.T) {
 	tr := obs.NewTracer(1)
 	st := new(obs.Stats)
 	ctx := obs.WithStats(obs.WithTracer(context.Background(), tr), st)
-	if _, err := SOIDominoMapContext(ctx, n, DefaultOptions()); err != nil {
+	if _, err := Map(ctx, SOI, n, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -242,7 +240,7 @@ func TestStatsOverhead(t *testing.T) {
 	measure := func(ctx context.Context) time.Duration {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := SOIDominoMapContext(ctx, net, opt); err != nil {
+			if _, err := Map(ctx, SOI, net, opt); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -22,7 +22,7 @@ func TestTraceOverhead(t *testing.T) {
 	n := unateBench(t, "mux") // 45 And/Or nodes: a per-node alloc shows as +45
 	opt := DefaultOptions()
 	mapOnce := func(ctx context.Context) {
-		if _, err := SOIDominoMapContext(ctx, n, opt); err != nil {
+		if _, err := Map(ctx, SOI, n, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

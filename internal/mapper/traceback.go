@@ -17,7 +17,7 @@ func (e *engine) traceback() (*Result, error) {
 		e: e,
 		res: &Result{
 			Name:         e.net.Name,
-			Algorithm:    e.cfg.algorithm,
+			Algorithm:    e.cfg.name(),
 			Options:      e.cfg.Options,
 			OutputGate:   make(map[string]int),
 			ConstOutputs: make(map[string]bool),
@@ -71,11 +71,11 @@ func (b *builder) gate(nodeID int) (int, error) {
 	default:
 		return 0, fmt.Errorf("mapper: no gate solution for node %d", nodeID)
 	}
-	switch b.e.cfg.rearrangePost {
-	case rearrangeTop:
+	switch b.e.cfg.alg {
+	case RS:
 		tree = pbe.Rearrange(tree)
 		predicted = -1
-	case rearrangeDeep:
+	case RSDeep:
 		tree = pbe.RearrangeDeep(tree)
 		predicted = -1
 	}

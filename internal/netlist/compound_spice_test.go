@@ -3,6 +3,7 @@ package netlist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func stackedStacks() *logic.Network {
 // deck must carry the model its type demands — in particular the static
 // output stage's pull-ups (OutP) are pMOS.
 func TestCompoundSpiceDeviceModels(t *testing.T) {
-	res, err := mapper.DominoMap(stackedStacks(), mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), mapper.Domino, stackedStacks(), mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,8 +24,7 @@ func fig2Network() *logic.Network {
 	return n
 }
 
-func buildFor(t *testing.T, n *logic.Network,
-	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) (*mapper.Result, *Circuit) {
+func buildFor(t *testing.T, n *logic.Network, alg mapper.Algorithm) (*mapper.Result, *Circuit) {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -34,7 +34,7 @@ func buildFor(t *testing.T, n *logic.Network,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := algo(u.Network, mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), alg, u.Network, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func buildFor(t *testing.T, n *logic.Network,
 // p-discharge on the stack's bottom node, precharge, keeper, inverter
 // pair and an n-clock foot — 9 logic transistors + 1 discharge.
 func TestFigure2Realization(t *testing.T) {
-	_, c := buildFor(t, fig2Network(), mapper.DominoMap)
+	_, c := buildFor(t, fig2Network(), mapper.Domino)
 	if len(c.Gates) != 1 {
 		t.Fatalf("%d gates, want 1", len(c.Gates))
 	}
@@ -84,7 +84,7 @@ func TestFigure2Realization(t *testing.T) {
 }
 
 func TestFigure2SOIHasNoDischarge(t *testing.T) {
-	_, c := buildFor(t, fig2Network(), mapper.SOIDominoMap)
+	_, c := buildFor(t, fig2Network(), mapper.SOI)
 	if got := c.Stats.TDisch(); got != 0 {
 		t.Errorf("SOI discharge devices = %d, want 0\n%s", got, c.Dump())
 	}
@@ -98,7 +98,7 @@ func TestInvertedInputRails(t *testing.T) {
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.Xor, a, b))
-	_, c := buildFor(t, n, mapper.SOIDominoMap)
+	_, c := buildFor(t, n, mapper.SOI)
 	if len(c.InvertedInputs) != 2 {
 		t.Errorf("inverted inputs = %v, want both a and b", c.InvertedInputs)
 	}
@@ -128,7 +128,7 @@ func TestFootlessInternalGates(t *testing.T) {
 	n.AddOutput("f", n.AddGate(logic.And, g1, g2))
 	n.AddOutput("g1", g1)
 	n.AddOutput("g2", g2)
-	res, c := buildFor(t, n, mapper.SOIDominoMap)
+	res, c := buildFor(t, n, mapper.SOI)
 	footless := 0
 	for _, g := range c.Gates {
 		if !g.Footed {
@@ -202,8 +202,8 @@ func randomCircuit(rng *rand.Rand) *logic.Network {
 // with the mapper's statistics, for all three algorithms.
 func TestRealizationQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(31))}
-	algos := []func(*logic.Network, mapper.Options) (*mapper.Result, error){
-		mapper.DominoMap, mapper.RSMap, mapper.SOIDominoMap,
+	algos := []mapper.Algorithm{
+		mapper.Domino, mapper.RS, mapper.SOI,
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -216,8 +216,8 @@ func TestRealizationQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, algo := range algos {
-			res, err := algo(u.Network, mapper.DefaultOptions())
+		for _, alg := range algos {
+			res, err := mapper.Map(context.Background(), alg, u.Network, mapper.DefaultOptions())
 			if err != nil {
 				return false
 			}
@@ -241,14 +241,14 @@ func TestConstOutputsCarried(t *testing.T) {
 	a := n.AddInput("a")
 	n.AddOutput("one", n.AddGate(logic.Or, a, n.AddGate(logic.Not, a)))
 	n.AddOutput("fa", a)
-	_, c := buildFor(t, n, mapper.DominoMap)
+	_, c := buildFor(t, n, mapper.Domino)
 	if v, ok := c.ConstOutputs["one"]; !ok || !v {
 		t.Errorf("ConstOutputs = %v", c.ConstOutputs)
 	}
 }
 
 func TestDumpContainsDevices(t *testing.T) {
-	_, c := buildFor(t, fig2Network(), mapper.DominoMap)
+	_, c := buildFor(t, fig2Network(), mapper.Domino)
 	dump := c.Dump()
 	for _, want := range []string{"pdisch", "pprech", "pkeep", "invp", "invn", "nfoot"} {
 		if !strings.Contains(dump, want) {

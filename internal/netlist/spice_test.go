@@ -12,7 +12,7 @@ import (
 )
 
 func TestWriteSpiceFig2(t *testing.T) {
-	_, c := buildFor(t, fig2Network(), mapper.DominoMap)
+	_, c := buildFor(t, fig2Network(), mapper.Domino)
 	var buf bytes.Buffer
 	if err := c.WriteSpice(&buf, DefaultSpiceOptions()); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestWriteSpiceInvertedRails(t *testing.T) {
 	a := n.AddInput("a")
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.Xor, a, b))
-	_, c := buildFor(t, n, mapper.SOIDominoMap)
+	_, c := buildFor(t, n, mapper.SOI)
 	var buf bytes.Buffer
 	if err := c.WriteSpice(&buf, DefaultSpiceOptions()); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestWriteSpiceConstOutputs(t *testing.T) {
 	a := n.AddInput("a")
 	n.AddOutput("one", n.AddGate(logic.Or, a, n.AddGate(logic.Not, a)))
 	n.AddOutput("fa", a)
-	_, c := buildFor(t, n, mapper.DominoMap)
+	_, c := buildFor(t, n, mapper.Domino)
 	var buf bytes.Buffer
 	if err := c.WriteSpice(&buf, DefaultSpiceOptions()); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestSpiceBodyNamespace(t *testing.T) {
 	a := n.AddInput("b0")
 	b := n.AddInput("b1")
 	n.AddOutput("f", n.AddGate(logic.And, a, b))
-	_, c := buildFor(t, n, mapper.DominoMap)
+	_, c := buildFor(t, n, mapper.Domino)
 	var buf bytes.Buffer
 	if err := c.WriteSpice(&buf, DefaultSpiceOptions()); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSpiceBodyNamespace(t *testing.T) {
 	x := n2.AddInput("fbody7")
 	y := n2.AddInput("z")
 	n2.AddOutput("f", n2.AddGate(logic.And, x, y))
-	_, c2 := buildFor(t, n2, mapper.DominoMap)
+	_, c2 := buildFor(t, n2, mapper.Domino)
 	if err := c2.WriteSpice(&bytes.Buffer{}, DefaultSpiceOptions()); err == nil {
 		t.Error("reserved-namespace input should be rejected")
 	}
@@ -151,7 +151,7 @@ func TestSanitizeSpice(t *testing.T) {
 }
 
 func TestSpiceDeterministic(t *testing.T) {
-	_, c := buildFor(t, fig2Network(), mapper.DominoMap)
+	_, c := buildFor(t, fig2Network(), mapper.Domino)
 	render := func() string {
 		var buf bytes.Buffer
 		if err := c.WriteSpice(&buf, DefaultSpiceOptions()); err != nil {
@@ -165,7 +165,7 @@ func TestSpiceDeterministic(t *testing.T) {
 }
 
 func TestSpiceGeometry(t *testing.T) {
-	_, c := buildFor(t, fig2Network(), mapper.DominoMap)
+	_, c := buildFor(t, fig2Network(), mapper.Domino)
 	opt := DefaultSpiceOptions()
 	opt.WidthN, opt.WidthP, opt.Length = 1.5, 3, 0.25
 	var buf bytes.Buffer

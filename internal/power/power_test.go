@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,8 +12,7 @@ import (
 	"soidomino/internal/unate"
 )
 
-func mapNet(t *testing.T, n *logic.Network,
-	algo func(*logic.Network, mapper.Options) (*mapper.Result, error), opt mapper.Options) *mapper.Result {
+func mapNet(t *testing.T, n *logic.Network, alg mapper.Algorithm, opt mapper.Options) *mapper.Result {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -22,7 +22,7 @@ func mapNet(t *testing.T, n *logic.Network,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := algo(u.Network, opt)
+	res, err := mapper.Map(context.Background(), alg, u.Network, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestActivityMatchesFunction(t *testing.T) {
 	b := n.AddInput("b")
 	n.AddOutput("f", n.AddGate(logic.And, a, b))
 	n.AddOutput("g", n.AddGate(logic.Or, a, b))
-	res := mapNet(t, n, mapper.DominoMap, mapper.DefaultOptions())
+	res := mapNet(t, n, mapper.Domino, mapper.DefaultOptions())
 	p := DefaultParams()
 	p.Vectors = 4096
 	est, err := Analyze(res, p)
@@ -71,8 +71,8 @@ func TestClockPowerTracksDischarges(t *testing.T) {
 	n.AddOutput("f", n.AddGate(logic.And, or3, d))
 
 	opt := mapper.DefaultOptions()
-	base := mapNet(t, n, mapper.DominoMap, opt)
-	soi := mapNet(t, n, mapper.SOIDominoMap, opt)
+	base := mapNet(t, n, mapper.Domino, opt)
+	soi := mapNet(t, n, mapper.SOI, opt)
 	p := DefaultParams()
 	eb, err := Analyze(base, p)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestDeterministicEstimate(t *testing.T) {
 	b := n.AddInput("b")
 	c := n.AddInput("c")
 	n.AddOutput("f", n.AddGate(logic.Xor, n.AddGate(logic.And, a, b), c))
-	res := mapNet(t, n, mapper.SOIDominoMap, mapper.DefaultOptions())
+	res := mapNet(t, n, mapper.SOI, mapper.DefaultOptions())
 	e1, err := Analyze(res, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestZeroParamsAdoptDefaults(t *testing.T) {
 	n := logic.New("z")
 	a := n.AddInput("a")
 	n.AddOutput("f", a)
-	res := mapNet(t, n, mapper.DominoMap, mapper.DefaultOptions())
+	res := mapNet(t, n, mapper.Domino, mapper.DefaultOptions())
 	est, err := Analyze(res, Params{})
 	if err != nil {
 		t.Fatal(err)

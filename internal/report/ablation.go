@@ -42,22 +42,19 @@ func RunAblation(opt mapper.Options, check bool) (*AblationTable, error) {
 			return nil, err
 		}
 		row := AblationRow{Circuit: name}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(mapper.Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		rs, err := p.Map(RS, opt, check)
+		rs, err := p.Map(mapper.RS, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		rsDeep, err := mapper.RSMapDeep(p.Unate, opt)
+		rsDeep, err := p.Map(mapper.RSDeep, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		if err := rsDeep.Audit(); err != nil {
-			return nil, fmt.Errorf("report: RS_Map_deep on %s: %w", name, err)
-		}
-		soi, err := p.Map(SOI, opt, check)
+		soi, err := p.Map(mapper.SOI, opt, check)
 		if err != nil {
 			return nil, err
 		}

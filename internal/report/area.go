@@ -51,11 +51,11 @@ func RunArea(opt mapper.Options, check bool) (*AreaTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(mapper.Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		soi, err := p.Map(SOI, opt, false)
+		soi, err := p.Map(mapper.SOI, opt, false)
 		if err != nil {
 			return nil, err
 		}

@@ -37,7 +37,7 @@ func RunCompound(opt mapper.Options, check bool) (*CompoundTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, false)
+		base, err := p.Map(mapper.Domino, opt, false)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +56,7 @@ func RunCompound(opt mapper.Options, check bool) (*CompoundTable, error) {
 		}
 		row.After = base.Stats
 		row.Converted = cs.Converted
-		soi, err := p.Map(SOI, opt, false)
+		soi, err := p.Map(mapper.SOI, opt, false)
 		if err != nil {
 			return nil, err
 		}

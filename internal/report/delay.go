@@ -39,7 +39,7 @@ func RunDelay(opt mapper.Options, check bool) (*DelayTable, error) {
 			return nil, err
 		}
 		row := DelayRow{Circuit: name}
-		for i, a := range []Algorithm{Domino, RS, SOI} {
+		for i, a := range []mapper.Algorithm{mapper.Domino, mapper.RS, mapper.SOI} {
 			res, err := p.Map(a, opt, check && i == 0)
 			if err != nil {
 				return nil, err
@@ -49,13 +49,13 @@ func RunDelay(opt mapper.Options, check bool) (*DelayTable, error) {
 				return nil, err
 			}
 			switch a {
-			case Domino:
+			case mapper.Domino:
 				row.Base = an.Critical
 				row.LevelsBase = res.Stats.Levels
 				row.CriticalOutBase = an.CriticalOutput
-			case RS:
+			case mapper.RS:
 				row.RS = an.Critical
-			case SOI:
+			case mapper.SOI:
 				row.SOI = an.Critical
 				row.LevelsSOI = res.Stats.Levels
 				row.CriticalOutSOI = an.CriticalOutput

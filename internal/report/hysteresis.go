@@ -49,13 +49,13 @@ func RunHysteresis(opt mapper.Options, cycles int) (*HysteresisTable, error) {
 		}
 		row := HysteresisRow{Circuit: name}
 		for _, variant := range []struct {
-			algo    Algorithm
+			algo    mapper.Algorithm
 			disable bool
 			dst     *soisim.BodyStats
 		}{
-			{Domino, true, &row.Unprotected},
-			{Domino, false, &row.Protected},
-			{SOI, false, &row.SOI},
+			{mapper.Domino, true, &row.Unprotected},
+			{mapper.Domino, false, &row.Protected},
+			{mapper.SOI, false, &row.SOI},
 		} {
 			res, err := p.Map(variant.algo, opt, false)
 			if err != nil {

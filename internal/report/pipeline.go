@@ -107,42 +107,11 @@ func PrepareNetworkMode(ctx context.Context, n *logic.Network, strashOff bool) (
 	}, nil
 }
 
-// Algorithm names a mapper for the harness.
-type Algorithm uint8
-
-const (
-	Domino Algorithm = iota
-	RS
-	SOI
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case RS:
-		return "RS_Map"
-	case SOI:
-		return "SOI_Domino_Map"
-	default:
-		return "Domino_Map"
-	}
-}
-
-func (a Algorithm) fn() func(*logic.Network, mapper.Options) (*mapper.Result, error) {
-	switch a {
-	case RS:
-		return mapper.RSMap
-	case SOI:
-		return mapper.SOIDominoMap
-	default:
-		return mapper.DominoMap
-	}
-}
-
 // Map runs one algorithm over the prepared circuit, audits the result and
 // (when check is true) verifies functional equivalence against the
 // original network.
-func (p *Pipeline) Map(a Algorithm, opt mapper.Options, check bool) (*mapper.Result, error) {
-	res, err := a.fn()(p.Unate, opt)
+func (p *Pipeline) Map(a mapper.Algorithm, opt mapper.Options, check bool) (*mapper.Result, error) {
+	res, err := mapper.Map(context.Background(), a, p.Unate, opt)
 	if err != nil {
 		return nil, fmt.Errorf("report: %s on %s: %w", a, p.Name, err)
 	}

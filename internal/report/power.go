@@ -54,13 +54,13 @@ func RunPower(opt mapper.Options, check bool) (*PowerTable, error) {
 		}
 		row := PowerRow{Circuit: name}
 		for _, variant := range []struct {
-			algo Algorithm
+			algo mapper.Algorithm
 			k    int
 			dst  *power.Estimate
 		}{
-			{Domino, 1, &row.Base},
-			{SOI, 1, &row.SOI},
-			{SOI, 2, &row.SOIK2},
+			{mapper.Domino, 1, &row.Base},
+			{mapper.SOI, 1, &row.SOI},
+			{mapper.SOI, 2, &row.SOIK2},
 		} {
 			o := opt
 			o.ClockWeight = variant.k

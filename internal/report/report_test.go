@@ -14,18 +14,12 @@ func TestPrepareUnknown(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if Domino.String() != "Domino_Map" || RS.String() != "RS_Map" || SOI.String() != "SOI_Domino_Map" {
-		t.Error("Algorithm.String broken")
-	}
-}
-
 func TestPipelineMapAndVerify(t *testing.T) {
 	p, err := Prepare("z4ml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []Algorithm{Domino, RS, SOI} {
+	for _, a := range mapper.Algorithms() {
 		res, err := p.Map(a, mapper.DefaultOptions(), true)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
@@ -142,7 +136,7 @@ func TestTableIVShape(t *testing.T) {
 func TestCompareTableWrite(t *testing.T) {
 	tab := &CompareTable{
 		Title:     "Table test",
-		Algorithm: SOI,
+		Algorithm: mapper.SOI,
 		Rows: []CompareRow{{
 			Circuit:   "demo",
 			Base:      mapper.Stats{TLogic: 100, TDisch: 20, TTotal: 120},

@@ -48,14 +48,14 @@ func RunSequence(opt mapper.Options, check bool) (*SequenceTable, error) {
 		}
 		row := SequenceRow{Circuit: name}
 		for _, variant := range []struct {
-			algo Algorithm
+			algo mapper.Algorithm
 			seq  bool
 			dst  *mapper.Stats
 		}{
-			{Domino, false, &row.Base},
-			{Domino, true, &row.BaseSeq},
-			{SOI, false, &row.SOI},
-			{SOI, true, &row.SOISeq},
+			{mapper.Domino, false, &row.Base},
+			{mapper.Domino, true, &row.BaseSeq},
+			{mapper.SOI, false, &row.SOI},
+			{mapper.SOI, true, &row.SOISeq},
 		} {
 			o := opt
 			o.SequenceAware = variant.seq

@@ -45,7 +45,7 @@ func (r CompareRow) TotalReduction() float64 { return pct(r.Base.TTotal, r.Cmp.T
 // CompareTable is a regenerated Table I or II.
 type CompareTable struct {
 	Title     string
-	Algorithm Algorithm // the comparison algorithm (RS or SOI)
+	Algorithm mapper.Algorithm // the comparison algorithm (RS or SOI)
 	Rows      []CompareRow
 	// Paper average reductions {T_disch, T_total} for the footer.
 	PaperAvg [2]float64
@@ -84,7 +84,7 @@ func RunTableIOn(circuits []string, opt mapper.Options, check bool) (*CompareTab
 	if err != nil {
 		return nil, err
 	}
-	return runCompare("Table I: Domino_Map vs RS_Map", rows, RS, paperTableI, paperTableIAvg, opt, check)
+	return runCompare("Table I: Domino_Map vs RS_Map", rows, mapper.RS, paperTableI, paperTableIAvg, opt, check)
 }
 
 // RunTableII regenerates Table II: Domino_Map vs SOI_Domino_Map under the
@@ -100,7 +100,7 @@ func RunTableIIOn(circuits []string, opt mapper.Options, check bool) (*CompareTa
 	if err != nil {
 		return nil, err
 	}
-	return runCompare("Table II: Domino_Map vs SOI_Domino_Map", rows, SOI, paperTableII, paperTableIIAvg, opt, check)
+	return runCompare("Table II: Domino_Map vs SOI_Domino_Map", rows, mapper.SOI, paperTableII, paperTableIIAvg, opt, check)
 }
 
 // selectCircuits filters table to the requested circuits, keeping table
@@ -130,7 +130,7 @@ func selectCircuits(table, want []string) ([]string, error) {
 	return out, nil
 }
 
-func runCompare(title string, circuits []string, cmp Algorithm,
+func runCompare(title string, circuits []string, cmp mapper.Algorithm,
 	paper map[string][2]paperTriple, paperAvg [2]float64,
 	opt mapper.Options, check bool) (*CompareTable, error) {
 	opt = harness(opt)
@@ -140,7 +140,7 @@ func runCompare(title string, circuits []string, cmp Algorithm,
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(mapper.Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
@@ -197,13 +197,13 @@ func RunTableIII(opt mapper.Options, check bool) (*ClockTable, error) {
 		}
 		o1 := opt
 		o1.ClockWeight = 1
-		r1, err := p.Map(SOI, o1, check)
+		r1, err := p.Map(mapper.SOI, o1, check)
 		if err != nil {
 			return nil, err
 		}
 		o2 := opt
 		o2.ClockWeight = 2
-		r2, err := p.Map(SOI, o2, check)
+		r2, err := p.Map(mapper.SOI, o2, check)
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +271,11 @@ func RunTableIV(opt mapper.Options, check bool) (*DepthTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := p.Map(Domino, opt, check)
+		base, err := p.Map(mapper.Domino, opt, check)
 		if err != nil {
 			return nil, err
 		}
-		soi, err := p.Map(SOI, opt, check)
+		soi, err := p.Map(mapper.SOI, opt, check)
 		if err != nil {
 			return nil, err
 		}

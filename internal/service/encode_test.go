@@ -11,7 +11,7 @@ import (
 )
 
 // TestCLIAndServiceEncodingsMatch pins the contract behind `soimap -json`:
-// the CLI path (PrepareNetwork + SOIDominoMap + NewMapResult) and the
+// the CLI path (PrepareNetwork + mapper.Map + NewMapResult) and the
 // daemon path (mapNetwork) must produce byte-identical JSON for the same
 // submission.
 func TestCLIAndServiceEncodingsMatch(t *testing.T) {
@@ -33,7 +33,7 @@ func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapper.SOIDominoMap(p.Unate, opt)
+	res, err := mapper.Map(context.Background(), mapper.SOI, p.Unate, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

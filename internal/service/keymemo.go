@@ -67,7 +67,8 @@ func (e *tooLargeError) Error() string {
 func (m *KeyMemo) resolve(ctx context.Context, req *MapRequest, algo string, opt mapper.Options, optErr error, maxNodes int) (ent keyEntry, src *logic.Network, hit bool, err error) {
 	// A request that fails a check cannot have an entry, so skip the
 	// digest and let keyRequest report the error in its usual order.
-	valid := optErr == nil && algoKeys[algo] && sourceCount(req) == 1
+	_, algoErr := mapper.ParseAlgorithm(algo)
+	valid := optErr == nil && algoErr == nil && sourceCount(req) == 1
 	var d [32]byte
 	if valid {
 		d = requestDigest(req, algo, opt)
@@ -97,8 +98,8 @@ func keyRequest(ctx context.Context, req *MapRequest, algo string, opt mapper.Op
 	if maxNodes > 0 && src.Len() > maxNodes {
 		return keyEntry{}, nil, &tooLargeError{src.Len(), maxNodes}
 	}
-	if !algoKeys[algo] {
-		return keyEntry{}, nil, fmt.Errorf("unknown algorithm %q (want domino, rs, rsdeep or soi)", algo)
+	if _, err := mapper.ParseAlgorithm(algo); err != nil {
+		return keyEntry{}, nil, err
 	}
 	if optErr != nil {
 		return keyEntry{}, nil, optErr

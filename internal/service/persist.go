@@ -291,23 +291,20 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 	}
 }
 
-// recoveredLabels extracts the display circuit/algorithm of a recovered
-// job from its request (best-effort: a terminal job's result carries
-// the authoritative copy).
+// recoveredLabels extracts the display circuit and the algorithm key of
+// a recovered job from its request (the circuit is best-effort: a
+// terminal job's result carries the authoritative copy).
 func recoveredLabels(req *MapRequest) (circuit, algo string) {
-	circuit, algo = "recovered", "soi"
+	circuit = "recovered"
 	if req == nil {
-		return
+		return circuit, defaultAlgorithm("")
 	}
 	if req.Circuit != "" {
 		circuit = req.Circuit
 	} else if req.BLIF != "" || req.Bench != "" {
 		circuit = "inline"
 	}
-	if req.Algorithm != "" {
-		algo = req.Algorithm
-	}
-	return
+	return circuit, defaultAlgorithm(req.Algorithm)
 }
 
 // installRecovered registers a terminal job rebuilt from the journal
@@ -315,7 +312,7 @@ func recoveredLabels(req *MapRequest) (circuit, algo string) {
 func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResult, errMsg string) {
 	circuit, algo := recoveredLabels(rj.req)
 	if res != nil {
-		circuit, algo = res.Circuit, res.Algorithm
+		circuit = res.Circuit // algo keeps the request key, as a live job's does
 	}
 	j := &job{
 		id:        rj.id,
@@ -369,10 +366,7 @@ func (s *Server) readmit(rj *recoveredJob) {
 		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())
 		return
 	}
-	algo := rj.req.Algorithm
-	if algo == "" {
-		algo = "soi"
-	}
+	algo := defaultAlgorithm(rj.req.Algorithm)
 	opt, err := OptionsFromRequest(rj.req.Options)
 	if err != nil {
 		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())

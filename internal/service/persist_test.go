@@ -147,27 +147,41 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 
 	s1 := New(Config{Workers: 2, StateDir: dir, JournalFsync: "always"})
 	ts1 := newPersistHTTP(t, s1)
-	code, v := postMapURL(t, ts1.URL, `{"circuit": "mux"}`)
-	if code != http.StatusOK || v.State != JobDone {
-		t.Fatalf("submit: code %d, state %s", code, v.State)
+	submissions := []struct{ body, algo string }{
+		{`{"circuit": "mux"}`, "soi"},
+		{`{"circuit": "mux", "algorithm": "rs"}`, "rs"},
 	}
-	wantBytes, _ := EncodeJSON(v.Result)
+	var views []JobView
+	for _, sub := range submissions {
+		code, v := postMapURL(t, ts1.URL, sub.body)
+		if code != http.StatusOK || v.State != JobDone {
+			t.Fatalf("submit %s: code %d, state %s", sub.body, code, v.State)
+		}
+		views = append(views, v)
+	}
 	ts1.Close()
 	s1.Abort()
 
 	s2 := New(Config{Workers: 2, StateDir: dir, JournalFsync: "always"})
 	defer shutdownNow(t, s2)
-	if n := s2.Counter("jobs_recovered"); n != 1 {
-		t.Fatalf("jobs_recovered = %d, want 1", n)
+	if n := s2.Counter("jobs_recovered"); n != 2 {
+		t.Fatalf("jobs_recovered = %d, want 2", n)
 	}
 	ts2 := newPersistHTTP(t, s2)
-	view := pollJob(t, ts2.URL, v.ID, 5*time.Second)
-	if view.State != JobDone || !view.Recovered || !view.Cached {
-		t.Fatalf("recovered job = state %s recovered %t cached %t", view.State, view.Recovered, view.Cached)
-	}
-	gotBytes, _ := EncodeJSON(view.Result)
-	if string(gotBytes) != string(wantBytes) {
-		t.Fatal("recovered job's bytes differ from the pre-crash response")
+	for i, v := range views {
+		view := pollJob(t, ts2.URL, v.ID, 5*time.Second)
+		if view.State != JobDone || !view.Recovered || !view.Cached {
+			t.Fatalf("recovered job = state %s recovered %t cached %t", view.State, view.Recovered, view.Cached)
+		}
+		// The label stays the request key, not the result's display name.
+		if want := submissions[i].algo; v.Algorithm != want || view.Algorithm != want {
+			t.Errorf("job algorithm = %q before the crash, %q after; want %q", v.Algorithm, view.Algorithm, want)
+		}
+		wantBytes, _ := EncodeJSON(v.Result)
+		gotBytes, _ := EncodeJSON(view.Result)
+		if string(gotBytes) != string(wantBytes) {
+			t.Fatalf("recovered %s job's bytes differ from the pre-crash response", v.Algorithm)
+		}
 	}
 }
 

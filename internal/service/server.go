@@ -458,9 +458,6 @@ func OptionsFromRequest(ro *RequestOptions) (mapper.Options, error) {
 	return opt, nil
 }
 
-// algoKeys are the request names of the four mappers.
-var algoKeys = map[string]bool{"domino": true, "rs": true, "rsdeep": true, "soi": true}
-
 // defaultAlgorithm resolves a request's algorithm name ("" is soi).
 func defaultAlgorithm(algo string) string {
 	if algo == "" {
@@ -1211,19 +1208,11 @@ func mapNetwork(ctx context.Context, circuit string, src *logic.Network, algo st
 	if err != nil {
 		return nil, err
 	}
-	var res *mapper.Result
-	switch algo {
-	case "domino":
-		res, err = mapper.DominoMapContext(ctx, p.Unate, opt)
-	case "rs":
-		res, err = mapper.RSMapContext(ctx, p.Unate, opt)
-	case "rsdeep":
-		res, err = mapper.RSMapDeepContext(ctx, p.Unate, opt)
-	case "soi":
-		res, err = mapper.SOIDominoMapContext(ctx, p.Unate, opt)
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algo)
+	alg, err := mapper.ParseAlgorithm(algo)
+	if err != nil {
+		return nil, err
 	}
+	res, err := mapper.Map(ctx, alg, p.Unate, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBodyStatsUnprotectedExposure(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	cfg := DefaultConfig()
 	cfg.DisableDischarge = true
 	sim := New(c, cfg)
@@ -43,9 +43,9 @@ func TestBodyStatsProtectedIsZero(t *testing.T) {
 		label string
 		soi   bool
 	}{{"protected baseline", false}, {"soi mapping", true}} {
-		algo := mapper.DominoMap
+		algo := mapper.Domino
 		if tc.soi {
-			algo = mapper.SOIDominoMap
+			algo = mapper.SOI
 		}
 		_, c := buildCircuit(t, fig2Network(), algo)
 		sim := New(c, DefaultConfig())
@@ -62,7 +62,7 @@ func TestBodyStatsProtectedIsZero(t *testing.T) {
 }
 
 func TestBodyStatsEmpty(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	sim := New(c, DefaultConfig())
 	bs := sim.BodyStats()
 	if bs.DevicePhases != 0 || bs.HighRatio() != 0 {

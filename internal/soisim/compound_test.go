@@ -1,6 +1,7 @@
 package soisim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,7 @@ func pbeStrikeSequence() []map[string]bool {
 
 func buildStacked(t *testing.T, compound bool) (*mapper.Result, *netlist.Circuit) {
 	t.Helper()
-	res, err := mapper.DominoMap(stackedStacks(), mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), mapper.Domino, stackedStacks(), mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package soisim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,8 +18,7 @@ import (
 // floating-body model: circuits that dropped "unexcitable" discharge
 // devices must still never corrupt under stress.
 
-func mapSeq(t *testing.T, n *logic.Network, algo func(*logic.Network, mapper.Options) (*mapper.Result, error),
-	seq bool) (*mapper.Result, *netlist.Circuit) {
+func mapSeq(t *testing.T, n *logic.Network, alg mapper.Algorithm, seq bool) (*mapper.Result, *netlist.Circuit) {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -30,7 +30,7 @@ func mapSeq(t *testing.T, n *logic.Network, algo func(*logic.Network, mapper.Opt
 	}
 	opt := mapper.DefaultOptions()
 	opt.SequenceAware = seq
-	res, err := algo(u.Network, opt)
+	res, err := mapper.Map(context.Background(), alg, u.Network, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func muxTree() *logic.Network {
 }
 
 func TestSequenceAwarePrunesMux(t *testing.T) {
-	full, _ := mapSeq(t, muxTree(), mapper.DominoMap, false)
+	full, _ := mapSeq(t, muxTree(), mapper.Domino, false)
 	if full.Stats.TDisch == 0 {
 		t.Fatalf("precondition: baseline should need discharges\n%s", full.Dump())
 	}
-	pruned, _ := mapSeq(t, muxTree(), mapper.DominoMap, true)
+	pruned, _ := mapSeq(t, muxTree(), mapper.Domino, true)
 	if pruned.Stats.TDisch >= full.Stats.TDisch {
 		t.Fatalf("sequence analysis should prune mux discharges: %d -> %d",
 			full.Stats.TDisch, pruned.Stats.TDisch)
@@ -76,7 +76,7 @@ func TestSequenceAwarePrunesMux(t *testing.T) {
 }
 
 func TestSequenceAwarePrunedMuxSurvivesStress(t *testing.T) {
-	res, c := mapSeq(t, muxTree(), mapper.DominoMap, true)
+	res, c := mapSeq(t, muxTree(), mapper.Domino, true)
 	sim := New(c, DefaultConfig())
 	for cyc, vec := range holdingVectors(c, rand.New(rand.NewSource(77)), 600) {
 		got, events, err := sim.Cycle(vec)
@@ -106,8 +106,8 @@ func TestSequenceAwarePrunedMuxSurvivesStress(t *testing.T) {
 // unsoundness would surface here as a corrupted evaluation.
 func TestSequenceAwareSoundQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(11))}
-	algos := []func(*logic.Network, mapper.Options) (*mapper.Result, error){
-		mapper.DominoMap, mapper.SOIDominoMap,
+	algos := []mapper.Algorithm{
+		mapper.Domino, mapper.SOI,
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,8 +123,8 @@ func TestSequenceAwareSoundQuick(t *testing.T) {
 		opt := mapper.DefaultOptions()
 		opt.BaselineStackOrder = mapper.OrderHashed
 		opt.SequenceAware = true
-		for _, algo := range algos {
-			res, err := algo(u.Network, opt)
+		for _, alg := range algos {
+			res, err := mapper.Map(context.Background(), alg, u.Network, opt)
 			if err != nil || res.Audit() != nil {
 				return false
 			}
@@ -166,8 +166,8 @@ func TestSequenceAwareNeverAddsDevices(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		n := randomCircuit(rng)
-		full, _ := mapSeq(t, n, mapper.SOIDominoMap, false)
-		pruned, _ := mapSeq(t, n, mapper.SOIDominoMap, true)
+		full, _ := mapSeq(t, n, mapper.SOI, false)
+		pruned, _ := mapSeq(t, n, mapper.SOI, true)
 		if pruned.Stats.TDisch > full.Stats.TDisch {
 			t.Fatalf("trial %d: pruning added devices (%d -> %d)",
 				trial, full.Stats.TDisch, pruned.Stats.TDisch)

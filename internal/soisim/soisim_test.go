@@ -1,6 +1,7 @@
 package soisim
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,8 +25,7 @@ func fig2Network() *logic.Network {
 	return n
 }
 
-func buildCircuit(t *testing.T, n *logic.Network,
-	algo func(*logic.Network, mapper.Options) (*mapper.Result, error)) (*mapper.Result, *netlist.Circuit) {
+func buildCircuit(t *testing.T, n *logic.Network, alg mapper.Algorithm) (*mapper.Result, *netlist.Circuit) {
 	t.Helper()
 	d, err := decompose.Decompose(n)
 	if err != nil {
@@ -35,7 +35,7 @@ func buildCircuit(t *testing.T, n *logic.Network,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := algo(u.Network, mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), alg, u.Network, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func fig2Sequence() []map[string]bool {
 // bulk-style gate with its discharge device disconnected evaluates f=1
 // even though A=B=C=0.
 func TestFigure2UnprotectedFails(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	cfg := DefaultConfig()
 	cfg.DisableDischarge = true
 	sim := New(c, cfg)
@@ -105,7 +105,7 @@ func TestFigure2UnprotectedFails(t *testing.T) {
 // TestFigure2ProtectedSafe: with the p-discharge device active the same
 // sequence is harmless (paper fig. 2(c)).
 func TestFigure2ProtectedSafe(t *testing.T) {
-	res, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	res, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	if res.Stats.TDisch != 1 {
 		t.Fatalf("expected 1 discharge device, got %d", res.Stats.TDisch)
 	}
@@ -132,7 +132,7 @@ func TestFigure2ProtectedSafe(t *testing.T) {
 // parallel stack, so it survives the same sequence with zero discharge
 // devices.
 func TestFigure2SOISafeWithoutDischarges(t *testing.T) {
-	res, c := buildCircuit(t, fig2Network(), mapper.SOIDominoMap)
+	res, c := buildCircuit(t, fig2Network(), mapper.SOI)
 	if res.Stats.TDisch != 0 {
 		t.Fatalf("SOI mapping should need no discharge devices, got %d", res.Stats.TDisch)
 	}
@@ -159,8 +159,8 @@ func TestFigure2SOISafeWithoutDischarges(t *testing.T) {
 func TestSimulatorMatchesLogic(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n := randomCircuit(rng)
-	for _, algo := range []func(*logic.Network, mapper.Options) (*mapper.Result, error){
-		mapper.DominoMap, mapper.RSMap, mapper.SOIDominoMap,
+	for _, algo := range []mapper.Algorithm{
+		mapper.Domino, mapper.RS, mapper.SOI,
 	} {
 		res, c := buildCircuit(t, n, algo)
 		sim := New(c, DefaultConfig())
@@ -220,8 +220,8 @@ func holdingVectors(c *netlist.Circuit, rng *rand.Rand, cycles int) []map[string
 // reported when it does).
 func TestProtectedNeverCorruptsQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(3))}
-	algos := []func(*logic.Network, mapper.Options) (*mapper.Result, error){
-		mapper.DominoMap, mapper.RSMap, mapper.SOIDominoMap,
+	algos := []mapper.Algorithm{
+		mapper.Domino, mapper.RS, mapper.SOI,
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -234,8 +234,8 @@ func TestProtectedNeverCorruptsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, algo := range algos {
-			res, err := algo(u.Network, mapper.DefaultOptions())
+		for _, alg := range algos {
+			res, err := mapper.Map(context.Background(), alg, u.Network, mapper.DefaultOptions())
 			if err != nil {
 				return false
 			}
@@ -293,7 +293,7 @@ func TestUnprotectedStressFindsPBE(t *testing.T) {
 	for i, o := range outs {
 		n.AddOutput("f"+string(rune('0'+i)), o)
 	}
-	res, c := buildCircuit(t, n, mapper.DominoMap)
+	res, c := buildCircuit(t, n, mapper.Domino)
 	if res.Stats.TDisch == 0 {
 		t.Fatal("test circuit should demand discharge devices under the baseline")
 	}
@@ -318,7 +318,7 @@ func TestUnprotectedStressFindsPBE(t *testing.T) {
 }
 
 func TestMissingInput(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	sim := New(c, DefaultConfig())
 	if _, _, err := sim.Cycle(map[string]bool{"A": true}); err == nil {
 		t.Error("Cycle with missing inputs should fail")
@@ -337,7 +337,7 @@ func TestEventString(t *testing.T) {
 }
 
 func TestRandomVectorsShape(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	vecs := RandomVectors(c, rand.New(rand.NewSource(1)), 10)
 	if len(vecs) != 10 || len(vecs[0]) != len(c.Inputs) {
 		t.Errorf("vectors shape wrong: %d x %d", len(vecs), len(vecs[0]))
@@ -345,7 +345,7 @@ func TestRandomVectorsShape(t *testing.T) {
 }
 
 func TestConfigDefaultsApplied(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	sim := New(c, Config{})
 	if sim.cfg.BodyChargeThreshold != DefaultConfig().BodyChargeThreshold {
 		t.Error("zero config should adopt defaults")

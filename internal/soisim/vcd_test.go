@@ -12,7 +12,7 @@ import (
 
 func runFig2Trace(t *testing.T, level TraceLevel, disable bool) (*Simulator, string) {
 	t.Helper()
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	cfg := DefaultConfig()
 	cfg.DisableDischarge = disable
 	sim := New(c, cfg)
@@ -122,7 +122,7 @@ func TestVCDTraceLevels(t *testing.T) {
 }
 
 func TestVCDWithoutTraceFails(t *testing.T) {
-	_, c := buildCircuit(t, fig2Network(), mapper.DominoMap)
+	_, c := buildCircuit(t, fig2Network(), mapper.Domino)
 	sim := New(c, DefaultConfig())
 	var buf bytes.Buffer
 	if err := sim.WriteVCD(&buf); err == nil {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func mapNetwork(t *testing.T, n *logic.Network) *mapper.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapper.SOIDominoMap(u.Network, mapper.DefaultOptions())
+	res, err := mapper.Map(context.Background(), mapper.SOI, u.Network, mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

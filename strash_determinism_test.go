@@ -94,7 +94,7 @@ func TestStrashOnOffEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s strashOff=%t: prepare: %v", name, strashOff, err)
 			}
-			for _, algo := range []report.Algorithm{report.Domino, report.SOI} {
+			for _, algo := range []mapper.Algorithm{mapper.Domino, mapper.SOI} {
 				res, err := pipe.Map(algo, mapper.DefaultOptions(), false)
 				if err != nil {
 					t.Fatalf("%s/%s strashOff=%t: %v", name, algo, strashOff, err)
