@@ -76,13 +76,16 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) run ./cmd/soichaos -seed 1 -requests 4000 -duration 30s -p 0.12 -sim 2
 
-# Seconds: the distributed-tracing gate — one traced request through an
-# in-process router + two peer replicas must stitch into a single
-# Perfetto trace carrying router, replica queue/job/phase and peer-cache
-# spans, with an explain record whose phase times nest inside the run
-# wall. See DESIGN.md §14 and the Observability section of README.md.
+# Seconds: the tracing gate over both `soimap -trace` paths. Remote: one
+# traced request through an in-process router + two peer replicas must
+# stitch into a single Perfetto trace carrying router, replica
+# queue/job/phase and peer-cache spans, with an explain record whose
+# phase times nest inside the run wall. Local: a mux run's trace must
+# hold one span per pipeline phase, named as the daemon names them. See
+# DESIGN.md §14 and the Observability section of README.md.
 trace-smoke:
 	$(GO) test -race -run 'TestTraceSmokeStitchesClusterTrace' -v -count=1 ./internal/cluster
+	$(GO) test -race -run 'TestLocalTraceSpansEveryPhase' -v -count=1 ./cmd/soimap
 
 # ~30s: the multi-node campaign — an in-process soirouter fronting three
 # replicas with the shared cache tier, one replica killed and restarted

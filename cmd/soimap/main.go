@@ -52,41 +52,47 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "soimap:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	circuit := flag.String("circuit", "", "built-in benchmark name (see -list)")
-	blifPath := flag.String("blif", "", "map a circuit from a BLIF file instead")
-	benchPath := flag.String("bench", "", "map a circuit from an ISCAS-89 .bench file instead")
-	algo := flag.String("algo", "soi", "mapper: domino, rs, rsdeep or soi")
-	objective := flag.String("objective", "area", "cost objective: area or depth")
-	k := flag.Int("k", 1, "clock-transistor weight (paper table III)")
-	maxW := flag.Int("w", 5, "maximum pulldown width")
-	maxH := flag.Int("h", 8, "maximum pulldown height")
-	pareto := flag.Bool("pareto", false, "enable the Pareto-frontier DP extension (soi only)")
-	tupleBudget := flag.Int("tuple-budget", 0, "Pareto tuple budget; overflow degrades to the paper's heuristic (0 = unlimited)")
-	compound := flag.Bool("compound", false, "apply the compound-domino post-pass (paper solution 7)")
-	seqAware := flag.Bool("seq", false, "prune provably-unexcitable discharge points (paper §VII)")
-	strashOff := flag.Bool("strash-off", false, "skip the structural-hashing + DCE front-end (see the Canonicalization section of README.md)")
-	doVerify := flag.Bool("verify", false, "check functional equivalence against the source")
-	dump := flag.Bool("dump", false, "print the mapped gates")
-	devices := flag.Bool("netlist", false, "print the transistor-level netlist")
-	spicePath := flag.String("spice", "", "write the transistor-level SPICE deck to this file")
-	dotPath := flag.String("dot", "", "write a Graphviz view of the mapping to this file")
-	jsonOut := flag.Bool("json", false, "print the result as the mapping service's JSON encoding")
-	list := flag.Bool("list", false, "list built-in benchmarks")
-	statsOut := flag.Bool("stats", false, "print the run's DP instrumentation (to stderr with -json)")
-	explain := flag.Bool("explain", false, "print the run's cost attribution table (per-phase wall time, strash reduction, DP tuples); with -server, fetched from the daemon")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	traceSample := flag.Int("trace-sample", 1, "record every Nth per-node DP trace event")
-	version := flag.Bool("version", false, "print build information and exit")
-	server := flag.String("server", "", "map remotely via a soimapd at this base URL (e.g. http://127.0.0.1:8347)")
-	timeout := flag.Duration("server-timeout", 0, "remote job deadline (0 = server default)")
-	flag.Parse()
+// run is the whole command over its arguments (without the program
+// name); flags parse into a set of its own, so tests can run it in
+// process.
+func run(args []string) error {
+	fs := flag.NewFlagSet("soimap", flag.ExitOnError)
+	circuit := fs.String("circuit", "", "built-in benchmark name (see -list)")
+	blifPath := fs.String("blif", "", "map a circuit from a BLIF file instead")
+	benchPath := fs.String("bench", "", "map a circuit from an ISCAS-89 .bench file instead")
+	algo := fs.String("algo", "soi", "mapper: domino, rs, rsdeep or soi")
+	objective := fs.String("objective", "area", "cost objective: area or depth")
+	k := fs.Int("k", 1, "clock-transistor weight (paper table III)")
+	maxW := fs.Int("w", 5, "maximum pulldown width")
+	maxH := fs.Int("h", 8, "maximum pulldown height")
+	pareto := fs.Bool("pareto", false, "enable the Pareto-frontier DP extension (soi only)")
+	tupleBudget := fs.Int("tuple-budget", 0, "Pareto tuple budget; overflow degrades to the paper's heuristic (0 = unlimited)")
+	compound := fs.Bool("compound", false, "apply the compound-domino post-pass (paper solution 7)")
+	seqAware := fs.Bool("seq", false, "prune provably-unexcitable discharge points (paper §VII)")
+	strashOff := fs.Bool("strash-off", false, "skip the structural-hashing + DCE front-end (see the Canonicalization section of README.md)")
+	doVerify := fs.Bool("verify", false, "check functional equivalence against the source")
+	dump := fs.Bool("dump", false, "print the mapped gates")
+	devices := fs.Bool("netlist", false, "print the transistor-level netlist")
+	spicePath := fs.String("spice", "", "write the transistor-level SPICE deck to this file")
+	dotPath := fs.String("dot", "", "write a Graphviz view of the mapping to this file")
+	jsonOut := fs.Bool("json", false, "print the result as the mapping service's JSON encoding")
+	list := fs.Bool("list", false, "list built-in benchmarks")
+	statsOut := fs.Bool("stats", false, "print the run's DP instrumentation (to stderr with -json)")
+	explain := fs.Bool("explain", false, "print the run's cost attribution table (per-phase wall time, strash reduction, DP tuples); with -server, fetched from the daemon")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+	traceSample := fs.Int("trace-sample", 1, "record every Nth per-node DP trace span")
+	version := fs.Bool("version", false, "print build information and exit")
+	server := fs.String("server", "", "map remotely via a soimapd at this base URL (e.g. http://127.0.0.1:8347)")
+	timeout := fs.Duration("server-timeout", 0, "remote job deadline (0 = server default)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *version {
 		fmt.Println(obs.Build())
@@ -172,7 +178,7 @@ func run() error {
 	}
 	var tracer *obs.Tracer
 	if *tracePath != "" {
-		tracer = obs.NewTracer(*traceSample)
+		tracer = obs.NewTracer(ctx, *traceSample)
 		ctx = obs.WithTracer(ctx, tracer)
 	}
 
@@ -195,7 +201,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := obs.Timed(st, obs.PhaseAudit, res.Audit); err != nil {
+	if err := obs.Timed(st, tracer, obs.PhaseAudit, label, res.Audit); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
 	wall := time.Since(wallStart)
@@ -244,11 +250,15 @@ func run() error {
 		fmt.Fprintln(out, a.Table())
 	}
 	if tracer != nil {
+		spans := tracer.Spans()
+		for i := range spans {
+			spans[i].Process = "soimap"
+		}
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
-		if _, err := tracer.WriteTo(f); err != nil {
+		if err := obs.WriteSpans(f, spans); err != nil {
 			f.Close()
 			return err
 		}
@@ -256,8 +266,8 @@ func run() error {
 			return err
 		}
 		if !*jsonOut {
-			fmt.Printf("trace written to %s (%d events); load it at ui.perfetto.dev\n",
-				*tracePath, tracer.Len())
+			fmt.Printf("trace written to %s (%d spans); load it at ui.perfetto.dev\n",
+				*tracePath, len(spans))
 		}
 	}
 

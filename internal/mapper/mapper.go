@@ -81,15 +81,11 @@ func Map(ctx context.Context, alg Algorithm, n *logic.Network, opt Options) (*Re
 			e.tracer.Instant("mapper", "run "+name, kv...)
 		}
 	}
-	dpStart := e.tracer.Now()
-	err := obs.Timed(e.stats, obs.PhaseDP, e.process)
-	e.tracer.Span("mapper", name+" dp", dpStart)
-	if err != nil {
+	if err := obs.Timed(e.stats, e.tracer, obs.PhaseDP, name, e.process); err != nil {
 		return nil, err
 	}
-	tbStart := e.tracer.Now()
 	var res *Result
-	err = obs.Timed(e.stats, obs.PhaseTraceback, func() error {
+	err := obs.Timed(e.stats, e.tracer, obs.PhaseTraceback, name, func() error {
 		if ferr := e.faults.Check(ctx, PointTraceback); ferr != nil {
 			return fmt.Errorf("mapper: %s traceback: %w", name, ferr)
 		}
@@ -97,7 +93,6 @@ func Map(ctx context.Context, alg Algorithm, n *logic.Network, opt Options) (*Re
 		res, terr = e.traceback()
 		return terr
 	})
-	e.tracer.Span("mapper", name+" traceback", tbStart)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,7 @@
 package mapper
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -167,24 +165,10 @@ func TestNilStatsSmoke(t *testing.T) {
 // agree with the run's stats collector.
 func TestTraceDPSpans(t *testing.T) {
 	n := unateBench(t, "b9")
-	tr := obs.NewTracer(1)
+	tr := obs.NewTracer(context.Background(), 1)
 	st := new(obs.Stats)
 	ctx := obs.WithStats(obs.WithTracer(context.Background(), tr), st)
 	if _, err := Map(ctx, SOI, n, DefaultOptions()); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		TraceEvents []struct {
-			Name string           `json:"name"`
-			Cat  string           `json:"cat"`
-			Args map[string]int64 `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatal(err)
 	}
 	var want []int
@@ -195,25 +179,29 @@ func TestTraceDPSpans(t *testing.T) {
 	}
 	var got []int
 	var kept int64
-	for _, ev := range trace.TraceEvents {
-		if ev.Cat != "dp" {
+	for _, sp := range tr.Spans() {
+		if sp.Cat != "dp" {
 			continue
 		}
 		var id int
 		var op string
-		if _, err := fmt.Sscanf(ev.Name, "node %d %s", &id, &op); err != nil {
-			t.Fatalf("dp span %q: %v", ev.Name, err)
+		if _, err := fmt.Sscanf(sp.Name, "node %d %s", &id, &op); err != nil {
+			t.Fatalf("dp span %q: %v", sp.Name, err)
 		}
 		if op != n.Nodes[id].Op.String() {
-			t.Errorf("dp span %q names op %s, node %d is %s", ev.Name, op, id, n.Nodes[id].Op)
+			t.Errorf("dp span %q names op %s, node %d is %s", sp.Name, op, id, n.Nodes[id].Op)
+		}
+		args := map[string]int64{}
+		for _, kv := range sp.Args {
+			args[kv.Key] = kv.Val
 		}
 		for _, k := range []string{"cands_a", "cands_b", "kept"} {
-			if _, ok := ev.Args[k]; !ok {
-				t.Errorf("dp span %q lacks %s: %v", ev.Name, k, ev.Args)
+			if _, ok := args[k]; !ok {
+				t.Errorf("dp span %q lacks %s: %v", sp.Name, k, sp.Args)
 			}
 		}
 		got = append(got, id)
-		kept += ev.Args["kept"]
+		kept += args["kept"]
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("dp span node ids %v, want the And/Or nodes in order %v", got, want)

@@ -29,7 +29,7 @@ func TestTraceOverhead(t *testing.T) {
 	base := testing.AllocsPerRun(20, func() { mapOnce(context.Background()) })
 	// A sample interval beyond every node id samples everything out
 	// (node 0, always sampled, is a primary input with no DP span).
-	tr := obs.NewTracer(1 << 30)
+	tr := obs.NewTracer(context.Background(), 1<<30)
 	sampledOut := testing.AllocsPerRun(20, func() { mapOnce(obs.WithTracer(context.Background(), tr)) })
 	t.Logf("allocs/run: no tracer %.0f, sampled-out tracer %.0f", base, sampledOut)
 	if sampledOut-base > 25 {

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the mapping stack: a per-run
 // dynamic-programming statistics collector (Stats), a sampling span tracer
-// that emits Chrome trace-event JSON loadable in Perfetto (Tracer), a
-// minimal Prometheus text-exposition writer (PromWriter) and the build
+// recording the run's phases as distributed-trace Spans (Tracer), Chrome
+// trace-event rendering of any span set loadable in Perfetto (WriteSpans),
+// a minimal Prometheus text-exposition writer (PromWriter) and the build
 // information surfaced by soimapd's /healthz and `soimap -version`.
 //
 // Everything here is opt-in and allocation-light. The collectors ride
@@ -214,20 +215,26 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
-// Timed runs f, charging its wall-clock cost to the stats phase. With a
-// nil collector it calls f directly — no clock reads on the disabled
-// path.
-func Timed(s *Stats, p Phase, f func() error) error {
-	if s == nil {
+// Timed runs f as phase p of a run over subject, the one timer of every
+// pipeline phase: one clock read at each end charges the cost to s and
+// records it on t as the phase's span (named by Phase.span). With both
+// collectors nil it calls f directly — no clock read, no allocation.
+func Timed(s *Stats, t *Tracer, p Phase, subject string, f func() error) error {
+	if s == nil && t == nil {
 		return f()
 	}
 	start := time.Now()
 	err := f()
-	s.AddPhase(p, time.Since(start))
+	d := time.Since(start)
+	s.AddPhase(p, d)
+	if t != nil {
+		cat, name := p.span(subject)
+		t.record(cat, name, start, d, nil)
+	}
 	return err
 }
 
-// Phase names one pipeline phase for AddPhase and trace spans.
+// Phase names one pipeline phase for AddPhase and Timed.
 type Phase uint8
 
 const (
@@ -254,4 +261,15 @@ func (p Phase) String() string {
 	default:
 		return "traceback"
 	}
+}
+
+// span returns the category and name of phase p's span over subject, as
+// DESIGN.md §14 lists them: the front-end phases and the audit are
+// pipeline spans "<phase> <net>", the DP phases are mapper spans
+// "<algorithm> <phase>".
+func (p Phase) span(subject string) (cat, name string) {
+	if p == PhaseDP || p == PhaseTraceback {
+		return "mapper", subject + " " + p.String()
+	}
+	return "pipeline", p.String() + " " + subject
 }

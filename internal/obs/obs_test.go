@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -87,24 +88,54 @@ func TestStatsString(t *testing.T) {
 
 func TestTimed(t *testing.T) {
 	s := &Stats{}
+	tr := NewTracer(context.Background(), 1)
 	sentinel := errors.New("boom")
-	if err := Timed(s, PhaseTraceback, func() error { return sentinel }); err != sentinel {
+	if err := Timed(s, tr, PhaseTraceback, "SOI_Domino_Map", func() error { return sentinel }); err != sentinel {
 		t.Fatalf("Timed err = %v, want sentinel", err)
 	}
 	if s.Phases.Traceback <= 0 {
 		t.Errorf("Traceback phase not charged: %v", s.Phases.Traceback)
 	}
-	// Nil collector: f still runs, error still propagates.
+	// One clock reading feeds both records: the span lasts exactly the
+	// charged phase time.
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].DurUS != s.Phases.Traceback.Microseconds() {
+		t.Fatalf("spans %+v, want one lasting the charged %v", spans, s.Phases.Traceback)
+	}
+	// Span names and categories are DESIGN.md §14's, one per phase.
+	want := map[Phase][2]string{
+		PhaseStrash:    {"pipeline", "strash c880"},
+		PhaseDecompose: {"pipeline", "decompose c880"},
+		PhaseUnate:     {"pipeline", "unate c880"},
+		PhaseDP:        {"mapper", "c880 dp"},
+		PhaseTraceback: {"mapper", "c880 traceback"},
+		PhaseAudit:     {"pipeline", "audit c880"},
+	}
+	for p, w := range want {
+		tr := NewTracer(context.Background(), 1)
+		if err := Timed(nil, tr, p, "c880", func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if sp := tr.Spans(); len(sp) != 1 || sp[0].Cat != w[0] || sp[0].Name != w[1] {
+			t.Errorf("%v span %+v, want %s %q", p, sp, w[0], w[1])
+		}
+	}
+	// Both collectors nil: f still runs, the error still propagates, and
+	// nothing is allocated.
 	ran := false
-	if err := Timed(nil, PhaseDP, func() error { ran = true; return nil }); err != nil || !ran {
-		t.Fatalf("Timed(nil) ran=%v err=%v", ran, err)
+	if err := Timed(nil, nil, PhaseDP, "c880", func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("Timed(nil, nil) ran=%v err=%v", ran, err)
+	}
+	noop := func() error { return nil }
+	if a := testing.AllocsPerRun(100, func() { Timed(nil, nil, PhaseDP, "c880", noop) }); a != 0 {
+		t.Errorf("Timed with both collectors nil allocates %.0f per call, want 0", a)
 	}
 }
 
 func TestPhaseString(t *testing.T) {
 	want := map[Phase]string{
-		PhaseDecompose: "decompose", PhaseUnate: "unate",
-		PhaseDP: "dp", PhaseTraceback: "traceback",
+		PhaseStrash: "strash", PhaseDecompose: "decompose", PhaseUnate: "unate",
+		PhaseDP: "dp", PhaseTraceback: "traceback", PhaseAudit: "audit",
 	}
 	for p, s := range want {
 		if p.String() != s {

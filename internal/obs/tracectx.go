@@ -311,39 +311,6 @@ func (a *ActiveSpan) End(kv ...KV) {
 	})
 }
 
-// ExportSpans converts the tracer's in-process events (phase spans from
-// the report pipeline and mapper engine, relative-timestamped) into
-// distributed Spans parented under tc.SpanID, using the tracer's start
-// time to place them on the absolute timeline. Instants export as
-// zero-duration spans. Nil tracer or unsampled context → nil.
-func (t *Tracer) ExportSpans(tc TraceContext, process string) []Span {
-	if t == nil || !tc.Sampled || !tc.Valid() {
-		return nil
-	}
-	t.mu.Lock()
-	events := t.events
-	t.mu.Unlock()
-	if len(events) == 0 {
-		return nil
-	}
-	base := t.start.UnixMicro()
-	out := make([]Span, 0, len(events))
-	for _, ev := range events {
-		out = append(out, Span{
-			TraceID:  tc.TraceID,
-			SpanID:   NewSpanID(),
-			ParentID: tc.SpanID,
-			Process:  process,
-			Cat:      ev.cat,
-			Name:     ev.name,
-			StartUS:  base + ev.ts,
-			DurUS:    ev.dur,
-			Args:     ev.args,
-		})
-	}
-	return out
-}
-
 // chromeSpanEvent is the Chrome trace-event rendering of one Span.
 type chromeSpanEvent struct {
 	Name string         `json:"name"`

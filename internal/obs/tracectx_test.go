@@ -162,33 +162,6 @@ func TestStartSpanNesting(t *testing.T) {
 	}
 }
 
-func TestTracerExportSpans(t *testing.T) {
-	tr := NewTracer(1)
-	tr.Span("pipeline", "strash net", tr.Now())
-	tr.Span("mapper", "soi dp", tr.Now(), KV{Key: "kept", Val: 7})
-	tc := NewTraceContext()
-	spans := tr.ExportSpans(tc, "replica-0")
-	if len(spans) != 2 {
-		t.Fatalf("exported %d spans, want 2", len(spans))
-	}
-	for _, s := range spans {
-		if s.TraceID != tc.TraceID || s.ParentID != tc.SpanID || s.Process != "replica-0" {
-			t.Fatalf("span %+v not parented under %+v", s, tc)
-		}
-		if s.StartUS <= 0 {
-			t.Fatalf("span %q has relative timestamp %d, want absolute epoch µs", s.Name, s.StartUS)
-		}
-	}
-
-	if got := tr.ExportSpans(TraceContext{}, "p"); got != nil {
-		t.Fatalf("unsampled export = %v, want nil", got)
-	}
-	var nilTr *Tracer
-	if got := nilTr.ExportSpans(tc, "p"); got != nil {
-		t.Fatalf("nil tracer export = %v, want nil", got)
-	}
-}
-
 func TestWriteSpansDeterministicChrome(t *testing.T) {
 	// Deliberately out of order: process "b" first, later start first.
 	spans := []Span{

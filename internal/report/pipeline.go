@@ -52,8 +52,9 @@ func PrepareNetwork(n *logic.Network) (*Pipeline, error) {
 // PrepareNetworkContext is PrepareNetwork with observability: when ctx
 // carries an obs.Stats collector (obs.WithStats) the strash, decompose
 // and unate phases charge their wall-clock cost to it, and an obs.Tracer
-// records them as spans. A plain context makes it identical to
-// PrepareNetwork. Strash is on; use PrepareNetworkMode to opt out.
+// (obs.WithTracer) records them as spans, both through obs.Timed. A
+// plain context makes it identical to PrepareNetwork. Strash is on; use
+// PrepareNetworkMode to opt out.
 func PrepareNetworkContext(ctx context.Context, n *logic.Network) (*Pipeline, error) {
 	return PrepareNetworkMode(ctx, n, false)
 }
@@ -67,34 +68,28 @@ func PrepareNetworkMode(ctx context.Context, n *logic.Network, strashOff bool) (
 	src := n
 	var sr *strash.Result
 	if !strashOff {
-		sStart := tr.Now()
-		obs.Timed(st, obs.PhaseStrash, func() error {
+		obs.Timed(st, tr, obs.PhaseStrash, n.Name, func() error {
 			sr = strash.RunContext(ctx, n)
 			return nil
 		})
-		tr.Span("pipeline", "strash "+n.Name, sStart)
 		st.AddStrash(sr.Counters.Merged, sr.Counters.Folded, sr.Counters.Dead)
 		src = sr.Network
 	}
 	var d *logic.Network
-	dStart := tr.Now()
-	err := obs.Timed(st, obs.PhaseDecompose, func() error {
+	err := obs.Timed(st, tr, obs.PhaseDecompose, n.Name, func() error {
 		var derr error
 		d, derr = decompose.Decompose(src)
 		return derr
 	})
-	tr.Span("pipeline", "decompose "+n.Name, dStart)
 	if err != nil {
 		return nil, fmt.Errorf("report: decompose %s: %w", n.Name, err)
 	}
 	var u *unate.Result
-	uStart := tr.Now()
-	err = obs.Timed(st, obs.PhaseUnate, func() error {
+	err = obs.Timed(st, tr, obs.PhaseUnate, n.Name, func() error {
 		var uerr error
 		u, uerr = unate.Convert(d)
 		return uerr
 	})
-	tr.Span("pipeline", "unate "+n.Name, uStart)
 	if err != nil {
 		return nil, fmt.Errorf("report: unate %s: %w", n.Name, err)
 	}

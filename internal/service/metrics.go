@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"expvar"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,21 +21,22 @@ var counterNames = []string{
 	"store_corrupt", "store_evicted", "store_hits", "store_misses", "store_write_errors",
 }
 
-// metrics is the per-server instrument set, exported at /debug/vars and,
-// translated to the Prometheus text format, at /metrics. The expvar.Map
-// is private to the server (never published to the process globals), so
-// many servers — the tests run several — can coexist.
+// metrics is the per-server instrument set, served in the Prometheus
+// text format at /metrics. Counters and gauges are plain atomics owned
+// by the server, so many servers — the tests run several — can coexist.
 type metrics struct {
-	vars        *expvar.Map
-	jobsQueued  *expvar.Int // gauge: jobs waiting in the queue
-	jobsRunning *expvar.Int // gauge: jobs occupying a worker
+	// counters holds one counter per counterNames entry; the map is
+	// built once and only read after, so it needs no lock.
+	counters    map[string]*atomic.Int64
+	jobsQueued  atomic.Int64 // gauge: jobs waiting in the queue
+	jobsRunning atomic.Int64 // gauge: jobs occupying a worker
 
 	// avgJobNanos is an exponentially-weighted moving average of job
 	// wall-clock time, the load shedder's service-time estimate.
 	avgJobNanos atomic.Int64
 
 	mu      sync.Mutex
-	latency map[string]*histogram // per-algorithm, key latency_ms_<algo>
+	latency map[string]*histogram // per-algorithm
 
 	// engineMu guards the per-algorithm aggregates of the mapper engine's
 	// per-run obs.Stats, merged in by runJob and served at /metrics.
@@ -47,22 +46,19 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	m := &metrics{
-		vars:        new(expvar.Map).Init(),
-		jobsQueued:  new(expvar.Int),
-		jobsRunning: new(expvar.Int),
-		latency:     make(map[string]*histogram),
-		engine:      make(map[string]*obs.Stats),
+		counters: make(map[string]*atomic.Int64, len(counterNames)),
+		latency:  make(map[string]*histogram),
+		engine:   make(map[string]*obs.Stats),
 	}
-	m.vars.Set("jobs_queued", m.jobsQueued)
-	m.vars.Set("jobs_running", m.jobsRunning)
-	// Pre-create the counters so /debug/vars shows zeros from the start.
 	for _, name := range counterNames {
-		m.vars.Add(name, 0)
+		m.counters[name] = new(atomic.Int64)
 	}
 	return m
 }
 
-func (m *metrics) add(name string, delta int64) { m.vars.Add(name, delta) }
+// add bumps one counterNames counter; any other name is a programming
+// error and panics.
+func (m *metrics) add(name string, delta int64) { m.counters[name].Add(delta) }
 
 // recordDuration folds one finished job's wall-clock time into the moving
 // average (alpha = 1/4; the first sample seeds the average). A stale-read
@@ -83,10 +79,10 @@ func (m *metrics) avgJobDuration() time.Duration {
 	return time.Duration(m.avgJobNanos.Load())
 }
 
-// counter reads one pre-created counter's current value.
+// counter reads one counter's current value (0 for an unknown name).
 func (m *metrics) counter(name string) int64 {
-	if v, ok := m.vars.Get(name).(*expvar.Int); ok {
-		return v.Value()
+	if c := m.counters[name]; c != nil {
+		return c.Load()
 	}
 	return 0
 }
@@ -137,7 +133,6 @@ func (m *metrics) observe(algo string, d time.Duration) {
 	if !ok {
 		h = newHistogram()
 		m.latency[algo] = h
-		m.vars.Set("latency_ms_"+algo, h)
 	}
 	m.mu.Unlock()
 	h.observe(d)
@@ -147,7 +142,7 @@ func (m *metrics) observe(algo string, d time.Duration) {
 // a final unbounded bucket catches everything slower.
 var latencyBoundsMS = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// histogram is a fixed-bucket latency histogram implementing expvar.Var.
+// histogram is a fixed-bucket latency histogram.
 type histogram struct {
 	mu      sync.Mutex
 	count   int64
@@ -189,31 +184,4 @@ func (h *histogram) snapshot() histSnapshot {
 		SumMS:   h.sumMS,
 		Buckets: append([]int64(nil), h.buckets...),
 	}
-}
-
-// String renders the histogram as JSON, making it a valid expvar.Var.
-func (h *histogram) String() string {
-	type bucket struct {
-		LE    int64 `json:"le_ms,omitempty"` // 0 on the overflow bucket
-		Count int64 `json:"count"`
-	}
-	h.mu.Lock()
-	v := struct {
-		Count   int64    `json:"count"`
-		SumMS   int64    `json:"sum_ms"`
-		Buckets []bucket `json:"buckets"`
-	}{Count: h.count, SumMS: h.sumMS}
-	for i, n := range h.buckets {
-		b := bucket{Count: n}
-		if i < len(latencyBoundsMS) {
-			b.LE = latencyBoundsMS[i]
-		}
-		v.Buckets = append(v.Buckets, b)
-	}
-	h.mu.Unlock()
-	b, err := json.Marshal(v)
-	if err != nil {
-		return `{"error":"histogram marshal"}`
-	}
-	return string(b)
 }

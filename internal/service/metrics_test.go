@@ -130,7 +130,7 @@ func TestShedDecisionAtDeadlineBoundary(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After")
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_shed"); n != 1 {
+	if n := metricInt(t, scrapeMetrics(t, ts), "jobs_shed"); n != 1 {
 		t.Errorf("jobs_shed = %d, want 1", n)
 	}
 	// Shedding never triggers before the first sample: a fresh estimate
@@ -158,11 +158,11 @@ func blockUntil(release chan struct{}, inner mapFunc) mapFunc {
 	}
 }
 
-// waitFor polls /debug/vars until the named gauge reaches want.
+// waitFor polls /metrics until the named gauge reaches want.
 func waitFor(t *testing.T, ts *httptest.Server, name string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), name) != want {
+	for metricInt(t, scrapeMetrics(t, ts), name) != want {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s never reached %d", name, want)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // handleMetrics serves the Prometheus text exposition translation of the
-// server's whole metric surface: the expvar job/cache counters, the
+// server's whole metric surface: the job/cache counters and gauges, the
 // per-algorithm latency histograms (with _sum and _count so rate and mean
 // are derivable), and the aggregated DP-engine statistics recorded by
 // every mapping run.
@@ -61,9 +61,9 @@ func writePromText(w io.Writer, m *metrics, uptime time.Duration, build obs.Buil
 	p.Sample("soimapd_uptime_seconds", uptime.Seconds())
 
 	p.Family("soimapd_jobs_queued", "gauge", "Jobs waiting in the queue.")
-	p.Sample("soimapd_jobs_queued", float64(m.jobsQueued.Value()))
+	p.Sample("soimapd_jobs_queued", float64(m.jobsQueued.Load()))
 	p.Family("soimapd_jobs_running", "gauge", "Jobs occupying a worker.")
-	p.Sample("soimapd_jobs_running", float64(m.jobsRunning.Value()))
+	p.Sample("soimapd_jobs_running", float64(m.jobsRunning.Load()))
 
 	for _, name := range counterNames {
 		pname := "soimapd_" + name + "_total"

@@ -26,8 +26,8 @@ func fixtureMetrics() *metrics {
 	m.add("cache_misses", 3)
 	m.add("key_memo_hits", 4)
 	m.add("key_memo_misses", 1)
-	m.jobsQueued.Set(1)
-	m.jobsRunning.Set(2)
+	m.jobsQueued.Store(1)
+	m.jobsRunning.Store(2)
 	m.observe("soi", 3*time.Millisecond)
 	m.observe("soi", 40*time.Millisecond)
 	m.observe("soi", 20*time.Second) // overflow bucket
@@ -114,6 +114,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsFreshServerZeros pins that a fresh server exposes every
+// counter and both job gauges at 0 before its first request, so a
+// scraper sees each series from the start instead of a gap.
+func TestMetricsFreshServerZeros(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	samples := scrapeMetrics(t, ts)
+	for _, name := range append([]string{"jobs_queued", "jobs_running"}, counterNames...) {
+		if n := metricInt(t, samples, name); n != 0 {
+			t.Errorf("fresh server %s = %d, want 0", name, n)
 		}
 	}
 }

@@ -65,11 +65,11 @@ func TestWorkerPanicIsolation(t *testing.T) {
 		t.Fatalf("healthz after panic: %v / %v", resp, err)
 	}
 
-	vars := getVars(t, ts)
-	if n := varInt(t, vars, "jobs_panicked"); n != 1 {
+	samples := scrapeMetrics(t, ts)
+	if n := metricInt(t, samples, "jobs_panicked"); n != 1 {
 		t.Errorf("jobs_panicked = %d, want 1", n)
 	}
-	if n := varInt(t, vars, "jobs_failed"); n != 1 {
+	if n := metricInt(t, samples, "jobs_failed"); n != 1 {
 		t.Errorf("jobs_failed = %d, want 1", n)
 	}
 }
@@ -90,7 +90,7 @@ func TestHTTPPanicRecovery(t *testing.T) {
 	if code, v := postMap(t, ts, `{"circuit": "mux"}`); code != http.StatusOK || v.State != JobDone {
 		t.Fatalf("post-panic request: code %d, state %s", code, v.State)
 	}
-	if n := varInt(t, getVars(t, ts), "http_panics"); n != 1 {
+	if n := metricInt(t, scrapeMetrics(t, ts), "http_panics"); n != 1 {
 		t.Errorf("http_panics = %d, want 1", n)
 	}
 }
@@ -120,7 +120,7 @@ func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 		t.Fatalf("job 1 not accepted: %d", code)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), "jobs_running") != 1 {
+	for metricInt(t, scrapeMetrics(t, ts), "jobs_running") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up job 1")
 		}
@@ -139,7 +139,7 @@ func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Errorf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_shed"); n != 1 {
+	if n := metricInt(t, scrapeMetrics(t, ts), "jobs_shed"); n != 1 {
 		t.Errorf("jobs_shed = %d, want 1", n)
 	}
 }
@@ -167,7 +167,7 @@ func TestQueueFullSetsRetryAfter(t *testing.T) {
 	}
 	submit(1)
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), "jobs_running") != 1 {
+	for metricInt(t, scrapeMetrics(t, ts), "jobs_running") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up job 1")
 		}
@@ -229,7 +229,7 @@ func TestJobEviction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_evicted"); n < 1 {
+	if n := metricInt(t, scrapeMetrics(t, ts), "jobs_evicted"); n < 1 {
 		t.Errorf("jobs_evicted = %d, want >= 1", n)
 	}
 }

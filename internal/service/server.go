@@ -273,7 +273,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCacheLookup)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
 }
@@ -666,7 +665,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// in the DP ("canceled at node 0"), and that cancellation path must
 	// stay reachable regardless of load history.
 	if avg := s.metrics.avgJobDuration(); avg > 0 && time.Now().Before(j.deadline) {
-		queued := s.metrics.jobsQueued.Value()
+		queued := s.metrics.jobsQueued.Load()
 		wait := time.Duration(queued) * avg / time.Duration(s.cfg.Workers)
 		if time.Now().Add(wait).After(j.deadline) {
 			s.metrics.add("jobs_shed", 1)
@@ -985,11 +984,6 @@ func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error)
 	return &res, nil
 }
 
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, s.metrics.vars.String())
-}
-
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
@@ -1044,20 +1038,20 @@ func (s *Server) runJob(j *job) {
 	defer func() { s.metrics.recordDuration(time.Since(start)) }()
 
 	// Distributed tracing: a sampled job records its queue wait and a run
-	// span into the trace hub, and runs with an in-process Tracer whose
-	// pipeline/mapper phase spans are exported under the run span when the
-	// job ends (whatever way it ends). Unsampled jobs skip all of it — the
-	// tracer stays nil, so the mapper's disabled fast path is untouched.
-	var runSpan *obs.ActiveSpan
-	var tr *obs.Tracer
+	// span into the trace hub, and runs with a Tracer whose pipeline/mapper
+	// phase spans are recorded under the run span and handed to the hub
+	// when the job ends (whatever way it ends). Unsampled jobs skip all of
+	// it — the tracer stays nil, so the mapper's disabled fast path is
+	// untouched.
 	if j.tc.Sampled && j.tc.Valid() {
 		ctx = obs.WithTraceContext(ctx, j.tc)
 		s.hub.Record(j.tc, "service", "queue wait", j.submitted, queueWait)
+		var runSpan *obs.ActiveSpan
 		ctx, runSpan = s.hub.StartSpan(ctx, "service", "job "+j.algo+" "+j.circuit)
-		tr = obs.NewTracer(1 << 20) // phase spans only; per-node events sampled out
+		tr := obs.NewTracer(ctx, 1<<20) // phase spans only; per-node spans sampled out
 		ctx = obs.WithTracer(ctx, tr)
 		defer func() {
-			for _, sp := range tr.ExportSpans(obs.TraceContextFrom(ctx), s.hub.Process()) {
+			for _, sp := range tr.Spans() {
 				s.hub.Add(sp)
 			}
 			runSpan.End(obs.KV{Key: "dp_tuples", Val: st.TuplesGenerated})
@@ -1219,11 +1213,8 @@ func mapNetwork(ctx context.Context, circuit string, src *logic.Network, algo st
 	// The audit is a full structural re-verification and a real slice of a
 	// job's wall time, so it is timed (and traced) like the other phases —
 	// the explain endpoint's phase breakdown should sum to the run wall.
-	st, tr := obs.StatsFrom(ctx), obs.TracerFrom(ctx)
-	aStart := tr.Now()
-	if err := obs.Timed(st, obs.PhaseAudit, res.Audit); err != nil {
+	if err := obs.Timed(obs.StatsFrom(ctx), obs.TracerFrom(ctx), obs.PhaseAudit, circuit, res.Audit); err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
-	tr.Span("pipeline", "audit "+circuit, aStart)
 	return NewMapResult(circuit, p, res), nil
 }

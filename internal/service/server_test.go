@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,36 +44,51 @@ func postMap(t *testing.T, ts *httptest.Server, body string) (int, JobView) {
 	return resp.StatusCode, v
 }
 
-func getVars(t *testing.T, ts *httptest.Server) map[string]json.RawMessage {
+// scrapeMetrics reads the server's /metrics exposition into a map from
+// each sample's series (name plus labels) to its value.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/debug/vars")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
+		t.Fatalf("GET /metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	vars := make(map[string]json.RawMessage)
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decode vars: %v", err)
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
 	}
-	return vars
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(string(b), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics sample %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples
 }
 
-func varInt(t *testing.T, vars map[string]json.RawMessage, name string) int64 {
+// metricInt reads the server's counter or gauge name (soimapd_<name>_total
+// or soimapd_<name>) from a scrape.
+func metricInt(t *testing.T, samples map[string]float64, name string) int64 {
 	t.Helper()
-	raw, ok := vars[name]
+	v, ok := samples["soimapd_"+name+"_total"]
 	if !ok {
-		t.Fatalf("var %q missing from /debug/vars", name)
+		v, ok = samples["soimapd_"+name]
 	}
-	var n int64
-	if err := json.Unmarshal(raw, &n); err != nil {
-		t.Fatalf("var %q = %s is not an int", name, raw)
+	if !ok {
+		t.Fatalf("%q missing from /metrics", name)
 	}
-	return n
+	return int64(v)
 }
 
 // TestMapCacheHit is the tentpole acceptance check: the same built-in
 // circuit submitted twice completes the second time from the cache, and
-// the /debug/vars counters show exactly one miss and one hit.
+// the /metrics counters show exactly one miss and one hit.
 func TestMapCacheHit(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -107,14 +124,14 @@ func TestMapCacheHit(t *testing.T) {
 		t.Error("cached result differs from computed result")
 	}
 
-	vars := getVars(t, ts)
-	if hits := varInt(t, vars, "cache_hits"); hits != 1 {
+	samples := scrapeMetrics(t, ts)
+	if hits := metricInt(t, samples, "cache_hits"); hits != 1 {
 		t.Errorf("cache_hits = %d, want 1", hits)
 	}
-	if misses := varInt(t, vars, "cache_misses"); misses != 1 {
+	if misses := metricInt(t, samples, "cache_misses"); misses != 1 {
 		t.Errorf("cache_misses = %d, want 1", misses)
 	}
-	if done := varInt(t, vars, "jobs_done"); done != 2 {
+	if done := metricInt(t, samples, "jobs_done"); done != 2 {
 		t.Errorf("jobs_done = %d, want 2", done)
 	}
 }
@@ -132,8 +149,8 @@ func TestDifferentOptionsMissCache(t *testing.T) {
 	if v.Cached {
 		t.Fatal("different algorithm hit the cache")
 	}
-	vars := getVars(t, ts)
-	if hits := varInt(t, vars, "cache_hits"); hits != 0 {
+	samples := scrapeMetrics(t, ts)
+	if hits := metricInt(t, samples, "cache_hits"); hits != 0 {
 		t.Errorf("cache_hits = %d, want 0", hits)
 	}
 }
@@ -161,8 +178,8 @@ func TestExpiredDeadlineCancels(t *testing.T) {
 	if !strings.Contains(v.Error, "canceled at node 0") {
 		t.Errorf("error %q does not show an immediate abort", v.Error)
 	}
-	vars := getVars(t, ts)
-	if n := varInt(t, vars, "jobs_canceled"); n != 1 {
+	samples := scrapeMetrics(t, ts)
+	if n := metricInt(t, samples, "jobs_canceled"); n != 1 {
 		t.Errorf("jobs_canceled = %d, want 1", n)
 	}
 	// A canceled run must not poison the cache.
@@ -297,8 +314,8 @@ func TestOversizedNetworkRejected(t *testing.T) {
 	if !strings.Contains(e.Error, "limit is 2") {
 		t.Errorf("error %q does not name the node limit", e.Error)
 	}
-	vars := getVars(t, ts)
-	if n := varInt(t, vars, "jobs_submitted"); n != 0 {
+	samples := scrapeMetrics(t, ts)
+	if n := metricInt(t, samples, "jobs_submitted"); n != 0 {
 		t.Errorf("jobs_submitted = %d, want 0 (rejected before submission)", n)
 	}
 }
@@ -339,19 +356,13 @@ func TestHealthz(t *testing.T) {
 func TestLatencyHistogramAppears(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	postMap(t, ts, `{"circuit": "mux", "algorithm": "rs"}`)
-	vars := getVars(t, ts)
-	raw, ok := vars["latency_ms_rs"]
+	series := `soimapd_map_latency_ms_count{algorithm="rs"}`
+	n, ok := scrapeMetrics(t, ts)[series]
 	if !ok {
-		t.Fatal("latency_ms_rs missing from /debug/vars")
+		t.Fatalf("%s missing from /metrics", series)
 	}
-	var h struct {
-		Count int64 `json:"count"`
-	}
-	if err := json.Unmarshal(raw, &h); err != nil {
-		t.Fatalf("histogram is not JSON: %s", raw)
-	}
-	if h.Count != 1 {
-		t.Errorf("histogram count = %d, want 1", h.Count)
+	if n != 1 {
+		t.Errorf("histogram count = %v, want 1", n)
 	}
 }
 
@@ -419,7 +430,7 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	// Wait until the worker has taken job 1 off the queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for varInt(t, getVars(t, ts), "jobs_running") != 1 {
+	for metricInt(t, scrapeMetrics(t, ts), "jobs_running") != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never picked up job 1")
 		}
@@ -432,7 +443,7 @@ func TestQueueFullRejects(t *testing.T) {
 	if code := submit(3); code != http.StatusTooManyRequests {
 		t.Fatalf("job 3: code %d, want 429", code)
 	}
-	if n := varInt(t, getVars(t, ts), "jobs_rejected"); n != 1 {
+	if n := metricInt(t, scrapeMetrics(t, ts), "jobs_rejected"); n != 1 {
 		t.Errorf("jobs_rejected = %d, want 1", n)
 	}
 }
