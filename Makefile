@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet perfbench-vet build test race bench bench-baseline obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+.PHONY: check fmt vet perfbench-vet build test race bench bench-smoke bench-baseline obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
-check: fmt vet perfbench-vet build race obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
+check: fmt vet perfbench-vet build race bench-smoke obs-overhead strash-determinism fuzz-smoke chaos-smoke cluster-smoke trace-smoke persist-smoke
 
 # Fails listing every file gofmt would rewrite.
 fmt:
@@ -37,6 +37,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
+
+# Runs every benchmark once, setup included: vet compiles the
+# benchmarks but never runs their fixtures, so a changed signature or
+# fixture that breaks a benchmark shows here instead of at the next
+# baseline.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Writes a benchstat-friendly JSON baseline (BENCH_<date>.json). Compare
 # two baselines with: jq -r .raw BENCH_A.json > a.txt; jq -r .raw
