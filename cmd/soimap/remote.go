@@ -87,22 +87,13 @@ func runRemote(baseURL string, timeout time.Duration, f remoteFlags) error {
 
 	c := client.New(client.Config{BaseURL: baseURL})
 	v, err := c.Map(ctx, req)
+	if err == nil {
+		// A synchronous submission can still come back non-terminal when
+		// the HTTP round trip outlives the handler's patience.
+		v, err = c.Wait(ctx, v, 0)
+	}
 	if err != nil {
 		return err
-	}
-	// A synchronous submission can still come back non-terminal when the
-	// HTTP round trip outlives the handler's patience; poll to the end.
-	poll := time.NewTicker(50 * time.Millisecond)
-	defer poll.Stop()
-	for v.State == service.JobQueued || v.State == service.JobRunning {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("interrupted while polling remote job %s: %w", v.ID, ctx.Err())
-		case <-poll.C:
-		}
-		if v, err = c.Job(ctx, v.ID); err != nil {
-			return err
-		}
 	}
 	switch v.State {
 	case service.JobDone:

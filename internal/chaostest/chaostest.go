@@ -188,12 +188,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		srv.Shutdown(sctx)
 	}()
 
-	cli := client.New(client.Config{
-		BaseURL:   baseURL,
-		BaseDelay: 2 * time.Millisecond,
-		MaxDelay:  50 * time.Millisecond,
-		Budget:    2 * time.Second,
-	})
+	cli := campaignClient(baseURL)
 
 	pool := workloads()
 	start := time.Now()
@@ -258,15 +253,27 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// The daemon must have survived the whole campaign.
-	resp, err := http.Get(baseURL + "/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		rep.Violations = append(rep.Violations, fmt.Sprintf("healthz after campaign: %v (err %v)", resp, err))
-	}
+	rep.Violations = append(rep.Violations, healthzViolations(baseURL, "daemon")...)
+	rep.FaultsFired = reg.Fired()
+	return rep, nil
+}
+
+// campaignClient is the retrying client every campaign submits through:
+// short backoffs, so a run spends its time mapping rather than sleeping.
+func campaignClient(baseURL string) *client.Client {
+	return client.New(client.Config{BaseURL: baseURL, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond, Budget: 2 * time.Second})
+}
+
+// healthzViolations checks that the process at url survived its campaign.
+func healthzViolations(url, who string) []string {
+	resp, err := http.Get(url + "/healthz")
 	if resp != nil {
 		resp.Body.Close()
 	}
-	rep.FaultsFired = reg.Fired()
-	return rep, nil
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return []string{fmt.Sprintf("%s healthz after campaign: %v (err %v)", who, resp, err)}
+	}
+	return nil
 }
 
 // armFaults builds a registry with every defined fault point armed.

@@ -2,7 +2,6 @@ package chaostest
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -275,12 +274,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 		routerSrv.Shutdown(sctx)
 	}()
 
-	cli := client.New(client.Config{
-		BaseURL:   routerURL,
-		BaseDelay: 2 * time.Millisecond,
-		MaxDelay:  50 * time.Millisecond,
-		Budget:    2 * time.Second,
-	})
+	cli := campaignClient(routerURL)
 
 	victim := nodes[rng.Intn(len(nodes))]
 	killAt, restartAt := cfg.Requests/3, 2*cfg.Requests/3
@@ -377,7 +371,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 				rep.Violations = append(rep.Violations,
 					"restarted replica came back cold: no durable-store hits during journal recovery")
 			}
-			verifyReadmitted(ctx, victim, rep, cfg)
+			rep.Violations = append(rep.Violations, verifyReadmitted(ctx, victim.svc, victim.url, cfg.SimCycles, cfg.Seed, true)...)
 			sweep(-2000)
 		}
 
@@ -418,24 +412,14 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 	}
 
 	// The router and every live replica must have survived the campaign.
-	checkHealth := func(url, who string) {
-		resp, err := http.Get(url + "/healthz")
-		if err != nil || resp.StatusCode != http.StatusOK {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("%s healthz after campaign: %v (err %v)", who, resp, err))
-		}
-		if resp != nil {
-			resp.Body.Close()
-		}
-	}
-	checkHealth(routerURL, "router")
+	rep.Violations = append(rep.Violations, healthzViolations(routerURL, "router")...)
 	rep.Coalesced = rt.Counter("jobs_coalesced")
 	rep.Failovers = rt.Counter("routed_failovers")
 	for _, n := range nodes {
 		if !n.alive {
 			continue
 		}
-		checkHealth(n.url, fmt.Sprintf("replica %d", n.idx))
+		rep.Violations = append(rep.Violations, healthzViolations(n.url, fmt.Sprintf("replica %d", n.idx))...)
 		rep.Coalesced += n.svc.Counter("jobs_coalesced")
 		rep.PeerHits += n.svc.Counter("cluster_cache_peer_hits")
 		rep.StoreCorrupt += n.svc.Counter("store_corrupt")
@@ -443,74 +427,64 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 	return rep, nil
 }
 
-// verifyReadmitted checks every job the restarted victim re-admitted
+// verifyReadmitted checks every job a restarted server re-admitted
 // from its journal: each must reach a terminal state under its original
 // id (a restart must never 404 a poller), and a completed re-admission
 // must byte-compare against a clean sequential re-derivation exactly
-// like any live response. Failures are legitimate only when an injected
-// fault or the re-admission path itself (queue full on boot) explains
-// them.
-func verifyReadmitted(ctx context.Context, victim *clusterNode, rep *ClusterReport, cfg ClusterConfig) {
-	for id, req := range victim.svc.RecoveredJobs() {
+// like any live response. Failures are legitimate only when the
+// re-admission path itself (queue full on boot) or, when faulted is
+// set, an injected fault explains them.
+func verifyReadmitted(ctx context.Context, svc *service.Server, baseURL string, simCycles int, seed int64, faulted bool) []string {
+	var violations []string
+	for id, req := range svc.RecoveredJobs() {
 		wl, ok := workloadFromRequest(req)
 		if !ok {
-			rep.Violations = append(rep.Violations,
+			violations = append(violations,
 				fmt.Sprintf("readmitted %s: journaled request matches no campaign workload", id))
 			continue
 		}
-		v, err := pollJob(ctx, victim.url, id, 10*time.Second)
+		v, err := pollJob(ctx, baseURL, id, 10*time.Second)
 		if err != nil {
-			rep.Violations = append(rep.Violations,
+			violations = append(violations,
 				fmt.Sprintf("readmitted %s (%s/%s): %v", id, wl.label, req.Algorithm, err))
 			continue
 		}
 		switch v.State {
 		case service.JobDone:
-			if msg := verifyDone(req, wl, v, cfg.SimCycles, cfg.Seed); msg != "" {
-				rep.Violations = append(rep.Violations,
+			if msg := verifyDone(req, wl, v, simCycles, seed); msg != "" {
+				violations = append(violations,
 					fmt.Sprintf("readmitted %s (%s/%s): %s", id, wl.label, req.Algorithm, msg))
 			}
 		case service.JobFailed, service.JobCanceled:
-			if !injectedFailure(v.Error) && !strings.Contains(v.Error, "not re-admitted") {
-				rep.Violations = append(rep.Violations,
+			if !(faulted && injectedFailure(v.Error)) && !strings.Contains(v.Error, "not re-admitted") {
+				violations = append(violations,
 					fmt.Sprintf("readmitted %s (%s/%s): organic failure %q", id, wl.label, req.Algorithm, v.Error))
 			}
 		default:
-			rep.Violations = append(rep.Violations,
+			violations = append(violations,
 				fmt.Sprintf("readmitted %s: still %s after the poll deadline", id, v.State))
 		}
 	}
+	return violations
 }
 
 // pollJob polls one job id directly at a replica until it reaches a
-// terminal state. Any non-200 answer is an error: a recovered job must
-// stay addressable under its original id.
+// terminal state or the timeout passes. Any non-200 answer is an error:
+// a recovered job must stay addressable under its original id.
 func pollJob(ctx context.Context, baseURL, id string, timeout time.Duration) (*service.JobView, error) {
+	cli := client.New(client.Config{BaseURL: baseURL, MaxAttempts: 1})
 	deadline := time.Now().Add(timeout)
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, err := http.Get(baseURL + "/v1/jobs/" + id)
+		v, err := cli.Job(ctx, id)
 		if err != nil {
-			return nil, fmt.Errorf("poll: %w", err)
+			return nil, fmt.Errorf("poll (a restart must re-serve journaled jobs, not 404 them): %w", err)
 		}
-		var v service.JobView
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, fmt.Errorf("poll: status %d (a restart must re-serve journaled jobs, not 404 them)", resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			resp.Body.Close()
-			return nil, fmt.Errorf("poll decode: %w", err)
-		}
-		resp.Body.Close()
 		switch v.State {
 		case service.JobDone, service.JobFailed, service.JobCanceled:
-			return &v, nil
+			return v, nil
 		}
 		if time.Now().After(deadline) {
-			return &v, nil // caller reports the non-terminal state
+			return v, nil // caller reports the non-terminal state
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

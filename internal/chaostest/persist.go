@@ -7,10 +7,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
-	"soidomino/internal/client"
 	"soidomino/internal/faultpoint"
 	"soidomino/internal/service"
 	"soidomino/internal/store"
@@ -158,12 +156,7 @@ func RunPersist(ctx context.Context, cfg PersistConfig) (*PersistReport, error) 
 	go httpSrv.Serve(ln)
 	baseURL := "http://" + addr
 
-	cli := client.New(client.Config{
-		BaseURL:   baseURL,
-		BaseDelay: 2 * time.Millisecond,
-		MaxDelay:  50 * time.Millisecond,
-		Budget:    2 * time.Second,
-	})
+	cli := campaignClient(baseURL)
 
 	pool := workloads()
 	var saved []savedResponse
@@ -247,48 +240,14 @@ func RunPersist(ctx context.Context, cfg PersistConfig) (*PersistReport, error) 
 
 	// Every re-admitted job must finish under its original id and, when
 	// done, byte-match a clean sequential re-derivation.
-	for id, req := range srv2.RecoveredJobs() {
-		wl, ok := workloadFromRequest(req)
-		if !ok {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("readmitted %s: journaled request matches no campaign workload", id))
-			continue
-		}
-		v, err := pollJob(ctx, baseURL, id, 10*time.Second)
-		if err != nil {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("readmitted %s (%s/%s): %v", id, wl.label, req.Algorithm, err))
-			continue
-		}
-		switch v.State {
-		case service.JobDone:
-			if msg := verifyDone(req, wl, v, cfg.SimCycles, cfg.Seed); msg != "" {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("readmitted %s (%s/%s): %s", id, wl.label, req.Algorithm, msg))
-			}
-		case service.JobFailed, service.JobCanceled:
-			if !strings.Contains(v.Error, "not re-admitted") {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("readmitted %s (%s/%s): organic failure %q", id, wl.label, req.Algorithm, v.Error))
-			}
-		default:
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("readmitted %s: still %s after the poll deadline", id, v.State))
-		}
-	}
+	rep.Violations = append(rep.Violations, verifyReadmitted(ctx, srv2, baseURL, cfg.SimCycles, cfg.Seed, false)...)
 
 	// Replay every saved phase-1 request: whether the answer comes from
 	// the recovered store, the warmed memory cache or a fresh mapping
 	// run, the bytes must be identical — quarantined tears may cost a
 	// recompute, never a different answer.
-	cli2 := client.New(client.Config{
-		BaseURL:   baseURL,
-		BaseDelay: 2 * time.Millisecond,
-		MaxDelay:  50 * time.Millisecond,
-		Budget:    2 * time.Second,
-	})
 	for i, s := range saved {
-		v, err := cli2.Map(ctx, &s.req)
+		v, err := cli.Map(ctx, &s.req)
 		if err != nil {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("replay %d (%s/%s): %v", i, s.wl.label, s.req.Algorithm, err))

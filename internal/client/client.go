@@ -135,18 +135,24 @@ func (c *Client) Job(ctx context.Context, id string) (*service.JobView, error) {
 	return c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
-// MapWait submits asynchronously and polls until the job reaches a
-// terminal state, honoring ctx. poll <= 0 selects 50ms.
+// MapWait submits asynchronously and waits for the job (see Wait).
 func (c *Client) MapWait(ctx context.Context, req *service.MapRequest, poll time.Duration) (*service.JobView, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
 	async := *req
 	async.Async = true
 	v, err := c.Map(ctx, &async)
 	if err != nil {
 		return nil, err
 	}
+	return c.Wait(ctx, v, poll)
+}
+
+// Wait polls job v until it reaches a terminal state, honoring ctx.
+// poll <= 0 selects 50ms.
+func (c *Client) Wait(ctx context.Context, v *service.JobView, poll time.Duration) (*service.JobView, error) {
+	if poll <= 0 {
+		poll = 50 * time.Millisecond
+	}
+	var err error
 	for !terminal(v.State) {
 		if err := c.cfg.Sleep(ctx, poll); err != nil {
 			return nil, fmt.Errorf("polling job %s interrupted: %w", v.ID, err)
@@ -193,6 +199,14 @@ func (c *Client) Trace(ctx context.Context, traceID string) ([]byte, error) {
 	return raw, nil
 }
 
+// Raw runs one call through the retry loop and hands each 2xx body, as
+// the server sent it, to accept; an accept error fails that attempt like
+// a transport error, so it is retried. soirouter forwards job views
+// through it without decoding them.
+func (c *Client) Raw(ctx context.Context, method, path string, body []byte, accept func([]byte) error) error {
+	return c.do(ctx, method, path, body, accept)
+}
+
 // doJSON runs one job-view call through the retry loop.
 func (c *Client) doJSON(ctx context.Context, method, path string, body []byte) (*service.JobView, error) {
 	var v service.JobView
@@ -203,7 +217,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte) (
 }
 
 // do runs one logical call through the retry loop, decoding the 2xx
-// response into out.
+// response into out (or handing it to out, a Raw accept function).
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
 	var lastErr error
 	var slept time.Duration
@@ -255,7 +269,8 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 	return d
 }
 
-// once performs a single HTTP attempt, decoding a 2xx body into out.
+// once performs a single HTTP attempt, decoding a 2xx body into out or,
+// when out is a Raw accept function, passing it the body whole.
 // The context's request id and trace context propagate as X-Request-ID
 // and traceparent headers, so the server joins the caller's trace and
 // log story (identifiers only — they never influence the request body,
@@ -295,6 +310,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
 		return apiErr
+	}
+	if accept, ok := out.(func([]byte) error); ok {
+		b, err := io.ReadAll(resp.Body)
+		if err == nil {
+			err = accept(b)
+		}
+		return err
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("decode response: %w", err)

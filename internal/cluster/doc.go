@@ -20,17 +20,17 @@
 //
 //   - Router: the HTTP front-end. POST /v1/map decodes the body as
 //     strictly as a replica does, takes the routing key from its
-//     service.KeyMemo (computing it once per distinct submission), routes
-//     to the ReplicationFactor preferred
-//     replicas with failover (then to the remaining replicas as a last
-//     resort), and namespaces job ids as "<replica>.<id>" so GET
+//     service.KeyMemo, routes to the ReplicationFactor preferred replicas
+//     with failover (then to the rest as a last resort), and forwards
+//     the replica's body with its result bytes untouched, rewriting only
+//     the view header: job ids become "<replica>.<id>" so GET
 //     /v1/jobs/{id} polls the replica that owns the job. A background
 //     prober watches each replica's /readyz — a draining replica drops
 //     out of rotation before its listener closes — and transport
 //     failures mark a replica unready passively between probes.
 //
-// The consistency contract making all of this safe is documented in
-// DESIGN.md §12: mapping is deterministic and results are byte-identical
-// across replicas, so any replica — or any cached or
-// coalesced copy — may answer any request.
+// The consistency contract making all of this safe is DESIGN.md §12
+// (§12.2 for the one result form): mapping is deterministic and results
+// are byte-identical across replicas, so any replica, cached or
+// coalesced copy may answer any request.
 package cluster

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -98,7 +99,7 @@ type Router struct {
 	ring     *Ring
 	replicas []*replica
 	byURL    map[string]*replica
-	flight   Flight[*service.JobView]
+	flight   Flight[*reply]
 	keys     *service.KeyMemo
 	mux      *http.ServeMux
 	logger   *slog.Logger
@@ -220,16 +221,14 @@ func (rt *Router) add(name string, n int64) {
 	rt.mu.Unlock()
 }
 
-func (rt *Router) counter(name string) int64 {
+// Counter reads one router counter by name (see routerCounters; 0 for
+// unknown names). Exported for harnesses that assert on routing
+// behaviour — the chaos campaign checks coalescing and failover moved.
+func (rt *Router) Counter(name string) int64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.counters[name]
 }
-
-// Counter reads one router counter by name (see routerCounters; 0 for
-// unknown names). Exported for harnesses that assert on routing
-// behaviour — the chaos campaign checks coalescing and failover moved.
-func (rt *Router) Counter(name string) int64 { return rt.counter(name) }
 
 // ReadyReplicas reports how many replicas the router currently considers
 // ready. Exported for harnesses that restart replicas and must wait for
@@ -340,20 +339,10 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	// Decode exactly as a replica does, unknown fields rejected, so a
 	// misspelled field gets the replica's 400 rather than being dropped
 	// from the re-marshaled request this router forwards.
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	var req service.MapRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req := service.ReadRequest(w, r, rt.cfg.MaxBodyBytes)
+	if req == nil {
 		rt.add("requests_bad", 1)
 		rootSpan.End(obs.KV{Key: "bad_request", Val: 1})
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			rt.errorJSON(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		rt.errorJSON(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if rt.cfg.StrashOff {
@@ -366,7 +355,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		req.Options.StrashOff = true
 	}
 	kStart := time.Now()
-	key, hit, err := rt.keys.RequestKey(r.Context(), &req)
+	key, hit, err := rt.keys.RequestKey(r.Context(), req)
 	if hit {
 		rt.add("key_memo_hits", 1)
 	} else {
@@ -376,19 +365,19 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		rt.add("requests_bad", 1)
 		rootSpan.End(obs.KV{Key: "bad_request", Val: 1})
-		rt.errorJSON(w, http.StatusBadRequest, err.Error())
+		service.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	var v *service.JobView
+	var v *reply
 	var coalesced bool
 	if req.Async {
-		v, err = rt.route(r.Context(), key, &req)
+		v, err = rt.route(r.Context(), key, req)
 	} else {
 		flightStart := time.Now()
 		v, coalesced, err = rt.flight.Do(r.Context(), key,
-			func(ctx context.Context) (*service.JobView, error) {
-				return rt.route(ctx, key, &req)
+			func(ctx context.Context) (*reply, error) {
+				return rt.route(ctx, key, req)
 			})
 		if coalesced {
 			rt.add("jobs_coalesced", 1)
@@ -396,40 +385,44 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 			// trace (if any) holds the routing spans, so record the wait
 			// into THIS request's trace.
 			rt.hub.Record(obs.TraceContextFrom(r.Context()), "router", "coalesced follower wait",
-				flightStart, time.Since(flightStart), obs.KV{Key: "ok", Val: boolInt(err == nil)})
+				flightStart, time.Since(flightStart), obs.Flag("ok", err == nil))
 		}
 	}
 	if err != nil {
 		rt.add("requests_failed", 1)
 		rootSpan.End(obs.KV{Key: "failed", Val: 1})
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			rt.errorJSON(w, apiErr.Status, apiErr.Message)
-			return
-		}
-		rt.errorJSON(w, http.StatusBadGateway, err.Error())
+		writeUpstreamError(w, err)
 		return
 	}
 	rootSpan.End()
 	code := http.StatusOK
-	if v.State == service.JobQueued || v.State == service.JobRunning {
+	if v.state == service.JobQueued || v.state == service.JobRunning {
 		code = http.StatusAccepted
 	}
-	rt.writeJSON(w, code, v)
+	service.WriteView(w, code, v.header, v.result)
 }
 
-func boolInt(b bool) int64 {
-	if b {
-		return 1
+// writeUpstreamError answers with a replica's own error when it gave
+// one, and 502 otherwise.
+func writeUpstreamError(w http.ResponseWriter, err error) {
+	var apiErr *client.APIError
+	if errors.As(err, &apiErr) {
+		service.WriteError(w, apiErr.Status, apiErr.Message)
+		return
 	}
-	return 0
+	service.WriteError(w, http.StatusBadGateway, err.Error())
 }
 
 // route tries the key's preference list in order: the ReplicationFactor
 // preferred replicas first (ready ones before passively-unreadied ones),
-// then every remaining replica as a last resort. The returned view's job
-// id is namespaced "<replica-index>.<id>".
-func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest) (*service.JobView, error) {
+// then every remaining replica as a last resort. The returned reply's
+// job id is namespaced "<replica-index>.<id>".
+func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest) (*reply, error) {
+	body, _ := json.Marshal(req) // plain strings, ints and bools: cannot fail
+	traceID := ""
+	if tc := obs.TraceContextFrom(ctx); tc.Sampled {
+		traceID = tc.TraceID
+	}
 	prefer := rt.ring.Prefer(key, len(rt.replicas))
 	primary, rest := prefer[:rt.cfg.ReplicationFactor], prefer[rt.cfg.ReplicationFactor:]
 	candidates := make([]*replica, 0, len(prefer))
@@ -457,22 +450,18 @@ func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest
 		// forwarded traceparent header, so the replica's spans nest under
 		// this attempt in the stitched trace.
 		actx, span := rt.hub.StartSpan(ctx, "router", "attempt "+rep.url)
-		v, err := rep.client.Map(actx, req)
+		// All view fix-ups happen in parseReply, before the singleflight
+		// layer can share the reply with coalesced followers; a body that
+		// does not parse fails the attempt, which the client retries.
+		var v *reply
+		err := rep.client.Raw(actx, http.MethodPost, "/v1/map", body, func(b []byte) (err error) {
+			v, err = parseReply(b, strconv.Itoa(rep.idx)+".", rep.url, traceID)
+			return err
+		})
 		if err == nil {
 			span.End(obs.KV{Key: "failover", Val: int64(i)})
 			rt.addRouted(rep.url)
-			// All view fix-ups happen here, before the singleflight layer
-			// can share the pointer with coalesced followers.
-			v.ID = strconv.Itoa(rep.idx) + "." + v.ID
-			if v.Attribution != nil {
-				rt.addTier(rep.url, v.Attribution.CacheTier)
-				if v.Attribution.Replica == "" {
-					v.Attribution.Replica = rep.url
-				}
-			}
-			if tcc := obs.TraceContextFrom(ctx); tcc.Sampled && v.TraceID == "" {
-				v.TraceID = tcc.TraceID
-			}
+			rt.addTier(rep.url, v.tier)
 			if rt.logger != nil && i > 0 {
 				rt.logger.Info("failover succeeded", "replica", rep.url, "attempts", i+1)
 			}
@@ -503,58 +492,38 @@ func (rt *Router) route(ctx context.Context, key string, req *service.MapRequest
 	return nil, fmt.Errorf("all %d replicas failed: %w", len(candidates), lastErr)
 }
 
-// handleJob polls the replica encoded in the namespaced job id.
-func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	idx, rest, ok := strings.Cut(id, ".")
-	n, err := strconv.Atoi(idx)
-	if !ok || err != nil || n < 0 || n >= len(rt.replicas) || rest == "" {
-		rt.errorJSON(w, http.StatusNotFound, "unknown job id (want <replica>.<id>)")
-		return
-	}
-	rep := rt.replicas[n]
-	v, err := rep.client.Job(r.Context(), rest)
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			rt.errorJSON(w, apiErr.Status, apiErr.Message)
-			return
-		}
-		rt.errorJSON(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	v.ID = id
-	rt.writeJSON(w, http.StatusOK, v)
+// handleJob polls the replica encoded in the namespaced job id, and
+// handleExplain proxies its attribution endpoint: both forward the
+// replica's body with the id rewritten into the router's namespace.
+func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) { rt.forwardJob(w, r, "", false) }
+
+func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
+	rt.forwardJob(w, r, "/explain", true)
 }
 
-// handleExplain proxies the attribution endpoint to the replica encoded
-// in the namespaced job id, rewriting the id back to the router's
-// namespace and filling in the replica URL when the replica left its
-// identity blank.
-func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	idx, rest, ok := strings.Cut(id, ".")
+// forwardJob GETs /v1/jobs/{id}+suffix from the replica the id names;
+// fillReplica also fills a blank attribution.replica with its URL.
+func (rt *Router) forwardJob(w http.ResponseWriter, r *http.Request, suffix string, fillReplica bool) {
+	idx, rest, ok := strings.Cut(r.PathValue("id"), ".")
 	n, err := strconv.Atoi(idx)
 	if !ok || err != nil || n < 0 || n >= len(rt.replicas) || rest == "" {
-		rt.errorJSON(w, http.StatusNotFound, "unknown job id (want <replica>.<id>)")
+		service.WriteError(w, http.StatusNotFound, "unknown job id (want <replica>.<id>)")
 		return
 	}
-	rep := rt.replicas[n]
-	ev, err := rep.client.Explain(r.Context(), rest)
+	rep, fill := rt.replicas[n], ""
+	if fillReplica {
+		fill = rep.url
+	}
+	var v *reply
+	err = rep.client.Raw(r.Context(), http.MethodGet, "/v1/jobs/"+rest+suffix, nil, func(b []byte) (err error) {
+		v, err = parseReply(b, idx+".", fill, "")
+		return err
+	})
 	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
-			rt.errorJSON(w, apiErr.Status, apiErr.Message)
-			return
-		}
-		rt.errorJSON(w, http.StatusBadGateway, err.Error())
+		writeUpstreamError(w, err)
 		return
 	}
-	ev.ID = id
-	if ev.Attribution != nil && ev.Attribution.Replica == "" {
-		ev.Attribution.Replica = rep.url
-	}
-	rt.writeJSON(w, http.StatusOK, ev)
+	service.WriteView(w, http.StatusOK, v.header, v.result)
 }
 
 // handleTraces serves the stitched fleet-wide trace: the router's own
@@ -574,7 +543,7 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
 		spans = append(spans, rs...)
 	}
 	if len(spans) == 0 {
-		rt.errorJSON(w, http.StatusNotFound, "unknown trace "+id)
+		service.WriteError(w, http.StatusNotFound, "unknown trace "+id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -594,7 +563,7 @@ func (rt *Router) readyCount() int {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": int64(time.Since(rt.start).Seconds()),
 		"replicas":       len(rt.replicas),
@@ -606,10 +575,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ready while at least one replica is.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if rt.readyCount() == 0 {
-		rt.errorJSON(w, http.StatusServiceUnavailable, "no ready replicas")
+		service.WriteError(w, http.StatusServiceUnavailable, "no ready replicas")
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
 // handleMetrics renders the router surface in the Prometheus text
@@ -640,18 +609,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rt.mu.Lock()
-	counters := make(map[string]int64, len(rt.counters))
-	for k, v := range rt.counters {
-		counters[k] = v
-	}
-	routed := make(map[string]int64, len(rt.routed))
-	for k, v := range rt.routed {
-		routed[k] = v
-	}
-	tiers := make(map[tierKey]int64, len(rt.tiers))
-	for k, v := range rt.tiers {
-		tiers[k] = v
-	}
+	counters, routed, tiers := maps.Clone(rt.counters), maps.Clone(rt.routed), maps.Clone(rt.tiers)
 	rt.mu.Unlock()
 
 	for _, name := range routerCounters {
@@ -683,14 +641,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Sample("soirouter_answer_tier_total", float64(tiers[k]),
 			"replica", k.replica, "tier", k.tier)
 	}
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (rt *Router) errorJSON(w http.ResponseWriter, code int, msg string) {
-	rt.writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -118,7 +118,7 @@ func TestRouterRoutesAndPolls(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("unknown circuit through router: code %d, want 400", code)
 	}
-	if n := rt.counter("requests_bad"); n != 1 {
+	if n := rt.Counter("requests_bad"); n != 1 {
 		t.Fatalf("requests_bad = %d, want 1", n)
 	}
 
@@ -287,10 +287,10 @@ func TestRouterFailover(t *testing.T) {
 	if dead.ready.Load() {
 		t.Fatal("dead replica still marked ready after transport failures")
 	}
-	if n := rt.counter("routed_failovers"); n < 1 {
+	if n := rt.Counter("routed_failovers"); n < 1 {
 		t.Fatalf("routed_failovers = %d, want >= 1", n)
 	}
-	if n := rt.counter("upstream_errors"); n < 1 {
+	if n := rt.Counter("upstream_errors"); n < 1 {
 		t.Fatalf("upstream_errors = %d, want >= 1", n)
 	}
 	// The router stays ready as long as one replica is.
@@ -391,7 +391,7 @@ func TestRouterCoalescing(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if n := rt.counter("jobs_coalesced"); n != followers {
+	if n := rt.Counter("jobs_coalesced"); n != followers {
 		t.Fatalf("jobs_coalesced = %d, want %d", n, followers)
 	}
 

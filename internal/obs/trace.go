@@ -14,6 +14,14 @@ type KV struct {
 	Val int64
 }
 
+// Flag is the KV of a yes/no outcome: 1 for true, 0 for false.
+func Flag(key string, b bool) KV {
+	if b {
+		return KV{key, 1}
+	}
+	return KV{key, 0}
+}
+
 // Tracer records the spans of one (or several sequential) mapping runs
 // as Span values with absolute epoch-µs timestamps. When the context it
 // is built from carries a sampled trace context, every span joins that

@@ -68,7 +68,7 @@ func TestCoalescingSingleDPRun(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		if runs.Add(1) == 1 {
 			close(started)
 		}
@@ -191,7 +191,7 @@ func TestPeerCacheTier(t *testing.T) {
 	})
 	var mapped atomic.Int64
 	inner := sb.mapFn
-	sb.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	sb.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		mapped.Add(1)
 		return inner(ctx, circuit, src, algo, opt)
 	}

@@ -33,7 +33,8 @@
 //
 // # Encoding
 //
-// The job result type (MapResult, encode.go) is shared with the soimap
-// CLI's -json flag: for the same circuit, algorithm and options the
-// daemon and the CLI produce byte-identical JSON.
+// A result is held once, as the compact JSON of its MapResult
+// (encode.go), in the LRU, the store, the peer tier and every answer;
+// a job body is the view header with that result as its last member
+// (WriteView). EncodeJSON of the decoded result is `soimap -json`.
 package service

@@ -171,14 +171,28 @@ func NewMapResult(circuit string, p *report.Pipeline, res *mapper.Result) *MapRe
 	return r
 }
 
-// EncodeJSON renders a MapResult in the subsystem's wire form: two-space
-// indented JSON with a trailing newline. Both soimapd and `soimap -json`
-// go through this function, which is what makes their outputs comparable
-// byte for byte.
+// EncodeJSON renders a MapResult as `soimap -json` prints it: two-space
+// indented JSON with a trailing newline. The service holds and sends
+// each result in one compact form, json.Marshal of the same MapResult,
+// which is these bytes with the whitespace removed: EncodeJSON of a
+// daemon answer's decoded result is the CLI's output byte for byte.
 func EncodeJSON(r *MapResult) ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// admitResult is the one door for result bytes from outside this
+// process, a store record or a peer's reply: they must decode as a
+// MapResult, and its compact form, the form any record (indented or
+// not) is served in, comes back with its circuit.
+func admitResult(b []byte) ([]byte, string, error) {
+	var r MapResult
+	if err := json.Unmarshal(b, &r); err != nil {
+		return nil, "", err
+	}
+	c, err := json.Marshal(&r)
+	return c, r.Circuit, err
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	builtin "soidomino/internal/bench"
@@ -10,10 +11,21 @@ import (
 	"soidomino/internal/report"
 )
 
+// decodeResult decodes a result's compact bytes for a test to inspect.
+func decodeResult(tb testing.TB, b []byte) *MapResult {
+	tb.Helper()
+	var r MapResult
+	if err := json.Unmarshal(b, &r); err != nil {
+		tb.Fatalf("decode result: %v", err)
+	}
+	return &r
+}
+
 // TestCLIAndServiceEncodingsMatch pins the contract behind `soimap -json`:
 // the CLI path (PrepareNetwork + mapper.Map + NewMapResult) and the
-// daemon path (mapNetwork) must produce byte-identical JSON for the same
-// submission.
+// daemon path (mapNetwork) must encode the same submission identically.
+// The daemon's compact bytes are json.Marshal of the CLI's result, and
+// indenting them gives the CLI's EncodeJSON output byte for byte.
 func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	const circuit = "mux"
 	opt := mapper.DefaultOptions()
@@ -23,10 +35,11 @@ func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemonBytes, err := EncodeJSON(daemon)
-	if err != nil {
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, daemon, "", "  "); err != nil {
 		t.Fatal(err)
 	}
+	daemonBytes := append(indented.Bytes(), '\n')
 
 	// CLI path, as cmd/soimap -json composes it.
 	p, err := report.PrepareNetwork(builtin.MustBuild(circuit))
@@ -45,13 +58,17 @@ func TestCLIAndServiceEncodingsMatch(t *testing.T) {
 	if !bytes.Equal(daemonBytes, cliBytes) {
 		t.Errorf("CLI and daemon encodings differ:\nCLI:\n%s\ndaemon:\n%s", cliBytes, daemonBytes)
 	}
+	if compact, _ := json.Marshal(NewMapResult(circuit, p, res)); !bytes.Equal(daemon, compact) {
+		t.Errorf("daemon bytes are not json.Marshal of the CLI's result:\n%s\n%s", daemon, compact)
+	}
 }
 
 func TestEncodeJSONDeterministic(t *testing.T) {
-	r, err := mapNetwork(context.Background(), "z4ml", builtin.MustBuild("z4ml"), "soi", mapper.DefaultOptions())
+	b, err := mapNetwork(context.Background(), "z4ml", builtin.MustBuild("z4ml"), "soi", mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := decodeResult(t, b)
 	b1, err := EncodeJSON(r)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +86,11 @@ func TestEncodeJSONDeterministic(t *testing.T) {
 }
 
 func TestMapResultContents(t *testing.T) {
-	r, err := mapNetwork(context.Background(), "mux", builtin.MustBuild("mux"), "soi", mapper.DefaultOptions())
+	b, err := mapNetwork(context.Background(), "mux", builtin.MustBuild("mux"), "soi", mapper.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := decodeResult(t, b)
 	if r.Circuit != "mux" || r.Algorithm != "SOI_Domino_Map" {
 		t.Errorf("circuit/algorithm = %q/%q", r.Circuit, r.Algorithm)
 	}

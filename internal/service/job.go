@@ -55,7 +55,7 @@ type job struct {
 	started     time.Time
 	finished    time.Time
 	errMsg      string
-	result      *MapResult
+	result      []byte       // compact MapResult JSON, shared with the cache tiers
 	attribution *Attribution // set (complete) before finish publishes it
 
 	done chan struct{} // closed when the job reaches a terminal state
@@ -63,7 +63,8 @@ type job struct {
 
 // JobView is the JSON envelope of a job returned by POST /v1/map and
 // GET /v1/jobs/{id}. Result carries the shared MapResult encoding once
-// the job is done.
+// the job is done. The service never fills Result: it writes the stored
+// result bytes after the other members (see WriteView).
 type JobView struct {
 	ID        string   `json:"id"`
 	State     JobState `json:"state"`
@@ -87,7 +88,9 @@ type JobView struct {
 	Attribution *Attribution `json:"attribution,omitempty"`
 }
 
-func (j *job) view() JobView {
+// view snapshots the job: its view header (Result nil) and its result
+// bytes, nil until it is done.
+func (j *job) view() (JobView, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
@@ -99,7 +102,6 @@ func (j *job) view() JobView {
 		Coalesced:   j.coalesced,
 		Recovered:   j.recovered,
 		Error:       j.errMsg,
-		Result:      j.result,
 		Attribution: j.attribution,
 	}
 	if j.tc.Sampled {
@@ -111,7 +113,7 @@ func (j *job) view() JobView {
 	case !j.started.IsZero():
 		v.ElapsedMS = time.Since(j.started).Milliseconds()
 	}
-	return v
+	return v, j.result
 }
 
 func (j *job) setRunning() {
@@ -124,7 +126,7 @@ func (j *job) setRunning() {
 // finish moves the job to a terminal state and wakes synchronous waiters.
 // It is idempotent — the panic-recovery path can race the normal one, and
 // only the first caller may close done — and reports whether it won.
-func (j *job) finish(state JobState, res *MapResult, errMsg string) bool {
+func (j *job) finish(state JobState, res []byte, errMsg string) bool {
 	j.mu.Lock()
 	if j.state == JobDone || j.state == JobFailed || j.state == JobCanceled {
 		j.mu.Unlock()
@@ -154,7 +156,7 @@ func (j *job) isDone() bool {
 
 // outcome snapshots the job's terminal state for propagation to a
 // coalesced follower. Call only after done is closed.
-func (j *job) outcome() (JobState, *MapResult, string) {
+func (j *job) outcome() (JobState, []byte, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.result, j.errMsg

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,10 +114,7 @@ func (m *metrics) engineSnapshot() map[string]obs.Stats {
 // latencySnapshot copies the per-algorithm latency histograms.
 func (m *metrics) latencySnapshot() map[string]histSnapshot {
 	m.mu.Lock()
-	algos := make(map[string]*histogram, len(m.latency))
-	for k, h := range m.latency {
-		algos[k] = h
-	}
+	algos := maps.Clone(m.latency)
 	m.mu.Unlock()
 	out := make(map[string]histSnapshot, len(algos))
 	for k, h := range algos {

@@ -143,12 +143,12 @@ func TestShedDecisionAtDeadlineBoundary(t *testing.T) {
 }
 
 // mapFunc mirrors Server.mapFn's signature for test wrappers.
-type mapFunc = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error)
+type mapFunc = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error)
 
 // blockUntil wraps a mapFn so jobs block until release closes (or their
 // context dies), letting tests hold the queue in a known state.
 func blockUntil(release chan struct{}, inner mapFunc) mapFunc {
-	return func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	return func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():

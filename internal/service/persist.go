@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -61,17 +62,10 @@ func (s *Server) closeState() {
 // canceled, and Abort returns once the goroutines exit so the test can
 // immediately reopen the state dir with a fresh Server.
 func (s *Server) Abort() {
-	s.draining.Store(true)
 	if s.journal != nil {
 		s.journal.Abort()
 	}
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-		close(s.janitorStop)
-	}
-	s.mu.Unlock()
+	s.stopIntake()
 	s.baseCancel()
 	s.wg.Wait()
 	<-s.janitorDone
@@ -85,71 +79,46 @@ func (s *Server) Abort() {
 func (s *Server) RecoveredJobs() map[string]*MapRequest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]*MapRequest, len(s.recovered))
-	for id, req := range s.recovered {
-		out[id] = req
-	}
-	return out
+	return maps.Clone(s.recovered)
 }
 
-// storeGet consults the disk tier for key, decoding the stored bytes
-// back into a MapResult. Misses return nil; corrupt entries are
-// quarantined by the store and counted, never served. A record whose
-// checksum passes but whose JSON no longer decodes (format skew across
-// an upgrade) is dropped the same way.
-func (s *Server) storeGet(key string) *MapResult {
+// storeGet consults the disk tier for key and returns the record's
+// admitted compact bytes (see admitResult) and its circuit. Misses
+// return nil; corrupt entries are quarantined by the store and counted,
+// never served. A record whose checksum passes but whose JSON no longer
+// decodes (format skew across an upgrade) is dropped the same way.
+func (s *Server) storeGet(key string) ([]byte, string) {
 	if s.store == nil {
-		return nil
+		return nil, ""
 	}
 	b, err := s.store.Get(key)
 	if err != nil {
 		s.metrics.add("store_corrupt", 1)
 		s.metrics.add("store_misses", 1)
 		s.logger.Warn("corrupt store entry quarantined", "key", key, "error", err.Error())
-		return nil
+		return nil, ""
 	}
 	if b == nil {
 		s.metrics.add("store_misses", 1)
-		return nil
+		return nil, ""
 	}
-	var res MapResult
-	if err := json.Unmarshal(b, &res); err != nil {
+	res, circuit, err := admitResult(b)
+	if err != nil {
 		s.store.Drop(key)
 		s.metrics.add("store_corrupt", 1)
 		s.metrics.add("store_misses", 1)
 		s.logger.Warn("undecodable store entry quarantined", "key", key, "error", err.Error())
-		return nil
+		return nil, ""
 	}
 	s.metrics.add("store_hits", 1)
-	return &res
+	return res, circuit
 }
 
-// storeGetRaw returns the exact bytes persisted under key, for the
-// peer-cache endpoint: the store holds EncodeJSON output verbatim, so
-// the bytes can be served without a decode/re-encode round trip.
-func (s *Server) storeGetRaw(key string) []byte {
-	if s.store == nil {
-		return nil
-	}
-	b, err := s.store.Get(key)
-	if err != nil {
-		s.metrics.add("store_corrupt", 1)
-		s.metrics.add("store_misses", 1)
-		return nil
-	}
-	if b == nil {
-		s.metrics.add("store_misses", 1)
-		return nil
-	}
-	s.metrics.add("store_hits", 1)
-	return b
-}
-
-// persistResult writes a finished result to the disk tier, write-behind:
-// any failure (including injected fsync faults) is counted and logged
-// but never fails the job — the client already has, or will get, the
-// in-memory result.
-func (s *Server) persistResult(ctx context.Context, key string, res *MapResult) {
+// persistResult writes a finished result's bytes to the disk tier,
+// write-behind: any failure (including injected fsync faults) is counted
+// and logged but never fails the job — the client already has, or will
+// get, the in-memory result.
+func (s *Server) persistResult(ctx context.Context, key string, res []byte) {
 	if s.store == nil {
 		return
 	}
@@ -159,11 +128,7 @@ func (s *Server) persistResult(ctx context.Context, key string, res *MapResult) 
 			s.logger.Error("result persist panicked", "key", key, "panic", fmt.Sprint(r))
 		}
 	}()
-	b, err := EncodeJSON(res)
-	if err == nil {
-		err = s.store.Put(ctx, key, b)
-	}
-	if err != nil {
+	if err := s.store.Put(ctx, key, res); err != nil {
 		s.metrics.add("store_write_errors", 1)
 		s.logger.Warn("result persist failed", "key", key, "error", err.Error())
 	}
@@ -273,8 +238,8 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 		rj := byID[id]
 		switch rj.last {
 		case store.RecDone:
-			if res := s.storeGet(rj.key); res != nil {
-				s.installRecovered(rj, JobDone, res, "")
+			if res, circuit := s.storeGet(rj.key); res != nil {
+				s.installRecovered(rj, JobDone, res, circuit, "")
 				continue
 			}
 			// The journal says done but the result is gone (torn write,
@@ -282,9 +247,9 @@ func (s *Server) recoverJobs(records []store.JobRecord) {
 			// re-admission a full substitute: same bytes, just recomputed.
 			s.readmit(rj)
 		case store.RecFailed:
-			s.installRecovered(rj, JobFailed, nil, rj.errMsg)
+			s.installRecovered(rj, JobFailed, nil, "", rj.errMsg)
 		case store.RecCanceled:
-			s.installRecovered(rj, JobCanceled, nil, rj.errMsg)
+			s.installRecovered(rj, JobCanceled, nil, "", rj.errMsg)
 		default: // accepted or running: in flight at the crash
 			s.readmit(rj)
 		}
@@ -308,11 +273,12 @@ func recoveredLabels(req *MapRequest) (circuit, algo string) {
 }
 
 // installRecovered registers a terminal job rebuilt from the journal
-// under its original id.
-func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResult, errMsg string) {
-	circuit, algo := recoveredLabels(rj.req)
-	if res != nil {
-		circuit = res.Circuit // algo keeps the request key, as a live job's does
+// under its original id. A done job's circuit comes from its stored
+// result; the others fall back to the request's label.
+func (s *Server) installRecovered(rj *recoveredJob, state JobState, res []byte, circuit, errMsg string) {
+	label, algo := recoveredLabels(rj.req) // algo keeps the request key, as a live job's does
+	if circuit == "" {
+		circuit = label
 	}
 	j := &job{
 		id:        rj.id,
@@ -326,7 +292,7 @@ func (s *Server) installRecovered(rj *recoveredJob, state JobState, res *MapResu
 	j.submitted = time.Now()
 	if res != nil {
 		j.cached = true
-		s.cache.Add(rj.key, res) // warm the LRU alongside the job table
+		s.cachePut(s.faultCtx(s.baseCtx), rj.key, res) // warm the LRU alongside the job table
 	}
 	j.setAttribution(s.attribute(j, TierStore, 0, 0, nil))
 	j.finish(state, res, errMsg)
@@ -355,21 +321,21 @@ func (s *Server) readmit(rj *recoveredJob) {
 		s.logger.Warn("journaled job lost its request, not re-admitted", "job_id", rj.id)
 		return
 	}
-	if res := s.storeGet(rj.key); res != nil {
-		s.installRecovered(rj, JobDone, res, "")
+	if res, circuit := s.storeGet(rj.key); res != nil {
+		s.installRecovered(rj, JobDone, res, circuit, "")
 		return
 	}
 
 	ctx := s.faultCtx(s.baseCtx)
 	src, label, err := parseSource(ctx, rj.req)
 	if err != nil {
-		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())
+		s.installRecovered(rj, JobFailed, nil, "", "not re-admitted after restart: "+err.Error())
 		return
 	}
 	algo := defaultAlgorithm(rj.req.Algorithm)
 	opt, err := OptionsFromRequest(rj.req.Options)
 	if err != nil {
-		s.installRecovered(rj, JobFailed, nil, "not re-admitted after restart: "+err.Error())
+		s.installRecovered(rj, JobFailed, nil, "", "not re-admitted after restart: "+err.Error())
 		return
 	}
 	if s.cfg.StrashOff {

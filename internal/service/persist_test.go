@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,7 +84,7 @@ func TestJournalReadmitsUnfinishedJobs(t *testing.T) {
 	release := make(chan struct{})
 	picked := make(chan struct{}, 1)
 	realMap := s1.mapFn
-	s1.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s1.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		picked <- struct{}{}
 		select {
 		case <-release:
@@ -182,6 +183,76 @@ func TestCrashRestartReservesTerminalJobs(t *testing.T) {
 		if string(gotBytes) != string(wantBytes) {
 			t.Fatalf("recovered %s job's bytes differ from the pre-crash response", v.Algorithm)
 		}
+	}
+}
+
+// TestPeerCacheDropsUndecodableRecord: a store record whose checksum
+// holds but whose JSON does not decode is never served to a peer. The
+// owner answers 404, counts it as corrupt and drops it, so peers stop
+// asking for it instead of each counting a peer error and mapping again.
+func TestPeerCacheDropsUndecodableRecord(t *testing.T) {
+	s := New(Config{Workers: 1, StateDir: t.TempDir(), JournalFsync: "always"})
+	defer shutdownNow(t, s)
+	ts := newPersistHTTP(t, s)
+	const key = "undecodable|key"
+	if err := s.store.Put(context.Background(), key, []byte(`{"circuit": "mux", "gates": 7`)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/cache?key=" + url.QueryEscape(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cache of an undecodable record = %d, want 404", resp.StatusCode)
+	}
+	if n := s.Counter("store_corrupt"); n != 1 {
+		t.Errorf("store_corrupt = %d, want 1", n)
+	}
+	if n := s.Counter("cluster_cache_served"); n != 0 {
+		t.Errorf("cluster_cache_served = %d, want 0", n)
+	}
+	if b, err := s.store.Get(key); b != nil || err != nil {
+		t.Errorf("record still in the store after the lookup (%d bytes, err %v)", len(b), err)
+	}
+}
+
+// TestCachePutFaultCoversStoreAndRecoveryWrites: every LRU write goes
+// through the service.cache-put fault point. With it armed, neither the
+// journal-recovered job nor a store hit warms the LRU, so two
+// resubmissions are both answered from the store.
+func TestCachePutFaultCoversStoreAndRecoveryWrites(t *testing.T) {
+	dir := t.TempDir()
+	s1 := New(Config{Workers: 1, StateDir: dir, JournalFsync: "always"})
+	ts1 := newPersistHTTP(t, s1)
+	if code, v := postMapURL(t, ts1.URL, `{"circuit": "mux"}`); code != http.StatusOK || v.State != JobDone {
+		t.Fatalf("seed: code %d, state %s", code, v.State)
+	}
+	ts1.Close()
+	shutdownNow(t, s1)
+
+	reg := faultpoint.New(1)
+	reg.Arm(PointCachePut, faultpoint.Fault{Kind: faultpoint.Error, Prob: 1})
+	s2 := New(Config{Workers: 1, StateDir: dir, JournalFsync: "always", Faults: reg})
+	defer shutdownNow(t, s2)
+	if n := s2.Counter("jobs_recovered"); n != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", n)
+	}
+	ts2 := newPersistHTTP(t, s2)
+	for i := 0; i < 2; i++ {
+		code, v := postMapURL(t, ts2.URL, `{"circuit": "mux"}`)
+		if code != http.StatusOK || v.State != JobDone || v.Result == nil {
+			t.Fatalf("resubmission %d: code %d, state %s", i, code, v.State)
+		}
+		if tier := v.Attribution.CacheTier; tier != TierStore {
+			t.Errorf("resubmission %d answered from %q, want %q", i, tier, TierStore)
+		}
+	}
+	if n := s2.Counter("cache_hits"); n != 0 {
+		t.Errorf("cache_hits = %d, want 0", n)
+	}
+	if n := reg.Fired()[PointCachePut]; n != 3 {
+		t.Errorf("cache-put fired %d times, want 3 (recovery + two store hits)", n)
 	}
 }
 
@@ -467,5 +538,5 @@ func mapRequestLocal(t *testing.T, circuit, algo string, opt mapper.Options) ([]
 	if err != nil {
 		return nil, err
 	}
-	return EncodeJSON(res)
+	return EncodeJSON(decodeResult(t, res))
 }

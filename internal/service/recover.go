@@ -24,8 +24,7 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 				"panic", rec, "stack", string(stack))
 			// The handler may have already written a header; WriteHeader
 			// after that point logs a spurious warning but is harmless.
-			writeJSON(w, http.StatusInternalServerError,
-				apiError{"internal error: " + redactStack(stack)})
+			WriteError(w, http.StatusInternalServerError, "internal error: "+redactStack(stack))
 		}()
 		next.ServeHTTP(w, r)
 	})

@@ -102,7 +102,7 @@ func TestLoadSheddingRejectsDoomedJobs(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
 	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -150,7 +150,7 @@ func TestQueueFullSetsRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
 	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -301,7 +301,7 @@ func TestShutdownDrainsAndStopsGoroutines(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	release := make(chan struct{})
 	inner := s.mapFn
-	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+	s.mapFn = func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -335,7 +335,7 @@ func TestShutdownDrainsAndStopsGoroutines(t *testing.T) {
 			s.mu.Unlock()
 			t.Fatalf("job %s vanished before retention", id)
 		}
-		v := j.view()
+		v, _ := j.view()
 		if v.State != JobDone && v.State != JobCanceled && v.State != JobFailed {
 			s.mu.Unlock()
 			t.Fatalf("job %s left in non-terminal state %s", id, v.State)

@@ -190,7 +190,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	metrics  *metrics
-	cache    *cache.LRU[string, *MapResult]
+	cache    *cache.LRU[string, []byte]
 	keys     *KeyMemo
 	queue    chan *job
 	logger   *slog.Logger
@@ -228,10 +228,11 @@ type Server struct {
 	janitorStop chan struct{}
 	janitorDone chan struct{}
 
-	// mapFn runs one job's pipeline; tests substitute it to control worker
-	// timing. Overridden only before the first submission (the job-channel
-	// send orders the write before any worker read).
-	mapFn func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error)
+	// mapFn runs one job's pipeline and returns the result's compact
+	// bytes; tests substitute it to control worker timing. Overridden only
+	// before the first submission (the job-channel send orders the write
+	// before any worker read).
+	mapFn func(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error)
 }
 
 // New starts a Server's worker pool and returns it.
@@ -240,7 +241,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		metrics:   newMetrics(),
-		cache:     cache.New[string, *MapResult](cfg.CacheEntries),
+		cache:     cache.New[string, []byte](cfg.CacheEntries),
 		keys:      NewKeyMemo(),
 		queue:     make(chan *job, cfg.QueueDepth),
 		logger:    cfg.Logger,
@@ -301,10 +302,8 @@ func (s *Server) BeginDrain() bool { return s.draining.CompareAndSwap(false, tru
 // replicas.
 func (s *Server) Counter(name string) int64 { return s.metrics.counter(name) }
 
-// Shutdown stops intake, drains the queue and waits for in-flight jobs.
-// If ctx expires first, running jobs are canceled through their mapping
-// contexts and Shutdown returns ctx.Err() once the workers exit.
-func (s *Server) Shutdown(ctx context.Context) error {
+// stopIntake starts the drain and closes the queue and the janitor, once.
+func (s *Server) stopIntake() {
 	s.BeginDrain()
 	s.mu.Lock()
 	if !s.closed {
@@ -313,6 +312,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.janitorStop)
 	}
 	s.mu.Unlock()
+}
+
+// Shutdown stops intake, drains the queue and waits for in-flight jobs.
+// If ctx expires first, running jobs are canceled through their mapping
+// contexts and Shutdown returns ctx.Err() once the workers exit.
+func (s *Server) Shutdown(ctx context.Context) error {
+	s.stopIntake()
 
 	done := make(chan struct{})
 	go func() {
@@ -374,12 +380,62 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as one line of compact JSON. Every body of the
+// replica and the router but a job view goes through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the {"error": msg} body of a failed call.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, apiError{msg})
+}
+
+var resultMember, viewEnd = []byte(`,"result":`), []byte("}\n")
+
+// WriteView writes a job view body: header, the compact JSON object of
+// every member but the result, then the result's stored bytes as they
+// are, as the last member (none when result is nil). Replica and router
+// both answer through it, so no answer copies or re-encodes a result.
+func WriteView(w http.ResponseWriter, status int, header, result []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(header[:len(header)-1])
+	if result != nil {
+		w.Write(resultMember)
+		w.Write(result)
+	}
+	w.Write(viewEnd)
+}
+
+// writeView answers with job j's current view; its header is
+// json.Marshal of the view with Result nil, which cannot fail.
+func writeView(w http.ResponseWriter, status int, j *job) {
+	v, res := j.view()
+	header, _ := json.Marshal(v)
+	WriteView(w, status, header, res)
+}
+
+// ReadRequest decodes a POST /v1/map body the one way both the replica
+// and the router do: unknown fields are a 400 and a body over limit a
+// 413, which it answers itself, returning nil.
+func ReadRequest(w http.ResponseWriter, r *http.Request, limit int64) *MapRequest {
+	var req MapRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	case err != nil:
+		WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
+	default:
+		return &req
+	}
+	return nil
 }
 
 // sourceCount counts the source fields req sets; exactly one is valid.
@@ -544,21 +600,11 @@ func retryAfter(w http.ResponseWriter, wait time.Duration) {
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	ctx := s.faultCtx(r.Context())
 	if err := faultpoint.From(ctx).Check(ctx, PointDecode); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req MapRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{"bad request: " + err.Error()})
+	req := ReadRequest(w, r, s.cfg.MaxBodyBytes)
+	if req == nil {
 		return
 	}
 	// Key the submission once per process: a resubmission's key comes
@@ -568,7 +614,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	req.Algorithm = defaultAlgorithm(req.Algorithm)
 	opt, optErr := OptionsFromRequest(req.Options)
 	opt.StrashOff = opt.StrashOff || s.cfg.StrashOff
-	ent, src, hit, err := s.keys.resolve(ctx, &req, req.Algorithm, opt, optErr, s.cfg.MaxNetworkNodes)
+	ent, src, hit, err := s.keys.resolve(ctx, req, req.Algorithm, opt, optErr, s.cfg.MaxNetworkNodes)
 	if hit {
 		s.metrics.add("key_memo_hits", 1)
 	} else {
@@ -580,7 +626,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, code, apiError{err.Error()})
+		WriteError(w, code, err.Error())
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -608,30 +654,28 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// Answer identical resubmissions from the cache without queueing. A
 	// cache-get fault degrades to a miss: worst case the job recomputes.
 	if faultpoint.From(ctx).Check(ctx, PointCacheGet) == nil {
-		if res, ok := s.cache.Get(j.cacheKey); ok {
-			s.registerJob(j)
-			j.cached = true
-			s.hub.Record(j.tc, "service", "cache local hit", time.Now(), 0)
-			j.setAttribution(s.attribute(j, TierLocal, 0, time.Since(j.submitted), nil))
-			j.finish(JobDone, res, "")
+		tier := TierLocal
+		res, ok := s.cache.Get(j.cacheKey)
+		if ok {
 			s.metrics.add("cache_hits", 1)
-			s.metrics.add("jobs_done", 1)
-			writeJSON(w, http.StatusOK, j.view())
-			return
+		} else if res, _ = s.storeGet(j.cacheKey); res != nil {
+			// Durable second tier: an LRU miss may still be on disk
+			// (earlier run, or a previous life of this process). Hits are
+			// promoted back into the LRU; corrupt entries quarantine
+			// inside storeGet and degrade to a miss.
+			tier = TierStore
+			s.cachePut(ctx, j.cacheKey, res)
 		}
-		// Durable second tier: an LRU miss may still be on disk (earlier
-		// run, or a previous life of this process). Hits are promoted back
-		// into the LRU; corrupt entries quarantine inside storeGet and
-		// degrade to a miss.
-		if res := s.storeGet(j.cacheKey); res != nil {
-			s.registerJob(j)
+		if res != nil {
+			s.mu.Lock()
+			s.registerJobLocked(j)
+			s.mu.Unlock()
 			j.cached = true
-			s.cache.Add(j.cacheKey, res)
-			s.hub.Record(j.tc, "service", "cache store hit", time.Now(), 0)
-			j.setAttribution(s.attribute(j, TierStore, 0, time.Since(j.submitted), nil))
+			s.hub.Record(j.tc, "service", "cache "+tier+" hit", time.Now(), 0)
+			j.setAttribution(s.attribute(j, tier, 0, time.Since(j.submitted), nil))
 			j.finish(JobDone, res, "")
 			s.metrics.add("jobs_done", 1)
-			writeJSON(w, http.StatusOK, j.view())
+			writeView(w, http.StatusOK, j)
 			return
 		}
 	}
@@ -651,7 +695,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.metrics.add("jobs_coalesced", 1)
 		go s.followLeader(j, leader)
-		s.answer(w, r, &req, j)
+		s.answer(w, r, req, j)
 		return
 	}
 	s.mu.Unlock()
@@ -672,8 +716,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			s.hub.Record(j.tc, "service", "shed", time.Now(), 0,
 				obs.KV{Key: "est_wait_ms", Val: wait.Milliseconds()})
 			retryAfter(w, wait)
-			writeJSON(w, http.StatusTooManyRequests,
-				apiError{fmt.Sprintf("overloaded: estimated queue wait %s exceeds the job deadline", wait.Round(time.Millisecond))})
+			WriteError(w, http.StatusTooManyRequests, fmt.Sprintf("overloaded: estimated queue wait %s exceeds the job deadline", wait.Round(time.Millisecond)))
 			return
 		}
 	}
@@ -682,8 +725,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	// parses here, under the request context without the server's fault
 	// registry: the hit already fired the parse fault point once.
 	if src == nil {
-		if src, _, err = parseSource(r.Context(), &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		if src, _, err = parseSource(r.Context(), req); err != nil {
+			WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -695,7 +738,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		// Shutdown is not overload: 503 tells the client this instance is
 		// going away; Retry-After hints when a replacement may listen.
 		retryAfter(w, time.Second)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is shutting down"})
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	// The job gets its id before the send: a worker may pop and run it
@@ -709,7 +752,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.metrics.jobsQueued.Add(1)
 		// Journal the accepted leader (with its request) so a crash from
 		// here on re-admits the job instead of 404ing its poller.
-		s.journalAccepted(ctx, j, &req)
+		s.journalAccepted(ctx, j, req)
 	default:
 		// Rejected: unregister it and hand its id back, so ids stay
 		// dense over accepted jobs.
@@ -724,12 +767,11 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			wait = time.Second
 		}
 		retryAfter(w, wait)
-		writeJSON(w, http.StatusTooManyRequests,
-			apiError{fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth)})
+		WriteError(w, http.StatusTooManyRequests, fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth))
 		return
 	}
 
-	s.answer(w, r, &req, j)
+	s.answer(w, r, req, j)
 }
 
 // answer completes a submission: async callers get 202 immediately, sync
@@ -737,15 +779,15 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 // job running and pollable).
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, req *MapRequest, j *job) {
 	if req.Async {
-		writeJSON(w, http.StatusAccepted, j.view())
+		writeView(w, http.StatusAccepted, j)
 		return
 	}
 	select {
 	case <-j.done:
-		writeJSON(w, http.StatusOK, j.view())
+		writeView(w, http.StatusOK, j)
 	case <-r.Context().Done():
 		// Client gave up; the job keeps running and stays pollable.
-		writeJSON(w, http.StatusAccepted, j.view())
+		writeView(w, http.StatusAccepted, j)
 	}
 }
 
@@ -765,16 +807,9 @@ func (s *Server) followLeader(j, leader *job) {
 	}
 	wait := time.Since(j.submitted)
 	s.hub.Record(j.tc, "service", "coalesced follower wait", j.submitted, wait,
-		obs.KV{Key: "ok", Val: boolInt(state == JobDone)})
+		obs.Flag("ok", state == JobDone))
 	j.setAttribution(s.attribute(j, TierCoalesced, 0, wait, nil))
 	j.finish(state, res, errMsg)
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // attribute builds job j's attribution record.
@@ -784,12 +819,6 @@ func (s *Server) attribute(j *job, tier string, queueWait, wall time.Duration, s
 		traceID = j.tc.TraceID
 	}
 	return NewAttribution(s.cfg.ReplicaName, traceID, tier, queueWait, wall, st)
-}
-
-func (s *Server) registerJob(j *job) {
-	s.mu.Lock()
-	s.registerJobLocked(j)
-	s.mu.Unlock()
 }
 
 func (s *Server) registerJobLocked(j *job) {
@@ -803,10 +832,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{"unknown job " + r.PathValue("id")})
+		WriteError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	writeView(w, http.StatusOK, j)
 }
 
 // handleExplain serves the per-request cost attribution of one job:
@@ -818,10 +847,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{"unknown job " + r.PathValue("id")})
+		WriteError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.explain())
+	WriteJSON(w, http.StatusOK, j.explain())
 }
 
 // handleTraces serves one distributed trace recorded by this process.
@@ -833,12 +862,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	spans := s.hub.Spans(id)
 	if len(spans) == 0 {
-		writeJSON(w, http.StatusNotFound, apiError{"unknown trace " + id})
+		WriteError(w, http.StatusNotFound, "unknown trace "+id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if r.URL.Query().Get("raw") == "1" {
-		writeJSON(w, http.StatusOK, spans)
+		WriteJSON(w, http.StatusOK, spans)
 		return
 	}
 	if err := obs.WriteSpans(w, spans); err != nil {
@@ -847,7 +876,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status  string        `json:"status"`
 		Workers int           `json:"workers"`
 		UptimeS int64         `json:"uptime_s"`
@@ -866,10 +895,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}{"ready", int64(time.Since(s.start).Seconds())}
 	if s.draining.Load() {
 		status.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, status)
+		WriteJSON(w, http.StatusServiceUnavailable, status)
 		return
 	}
-	writeJSON(w, http.StatusOK, status)
+	WriteJSON(w, http.StatusOK, status)
 }
 
 // handleCacheLookup serves this replica's slice of the cluster's shared
@@ -878,39 +907,32 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		writeJSON(w, http.StatusBadRequest, apiError{"missing key parameter"})
+		WriteError(w, http.StatusBadRequest, "missing key parameter")
 		return
 	}
 	res, ok := s.cache.Get(key)
 	if !ok {
 		// The disk tier answers for the LRU here too: a peer asking this
 		// replica sees its whole persistent cache, so a freshly-restarted
-		// sibling keeps the cluster's shared tier warm. The stored bytes
-		// are EncodeJSON output verbatim — served as-is.
-		if b := s.storeGetRaw(key); b != nil {
-			s.metrics.add("cluster_cache_served", 1)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(b)
-			return
-		}
-		writeJSON(w, http.StatusNotFound, apiError{"no cached result for key"})
-		return
+		// sibling keeps the cluster's shared tier warm. storeGet admits
+		// the record first: one that no longer decodes is dropped here,
+		// not served to every asking peer.
+		res, _ = s.storeGet(key)
 	}
-	b, err := EncodeJSON(res)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, apiError{"encode: " + err.Error()})
+	if res == nil {
+		WriteError(w, http.StatusNotFound, "no cached result for key")
 		return
 	}
 	s.metrics.add("cluster_cache_served", 1)
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
+	w.Write(res)
 }
 
 // peerFetch consults the configured peers' caches for key and returns
 // the first hit, nil on miss. Each lookup is bounded by PeerTimeout and
 // any failure just degrades to a miss — the shared tier is an
 // optimization, never a dependency.
-func (s *Server) peerFetch(ctx context.Context, key string) *MapResult {
+func (s *Server) peerFetch(ctx context.Context, key string) []byte {
 	if len(s.cfg.Peers) == 0 || ctx.Err() != nil {
 		return nil
 	}
@@ -923,7 +945,7 @@ func (s *Server) peerFetch(ctx context.Context, key string) *MapResult {
 			s.metrics.add("cluster_cache_peer_errors", 1)
 			continue
 		}
-		span.End(obs.KV{Key: "hit", Val: boolInt(res != nil)})
+		span.End(obs.Flag("hit", res != nil))
 		if res != nil {
 			return res
 		}
@@ -935,7 +957,9 @@ func (s *Server) peerFetch(ctx context.Context, key string) *MapResult {
 // closing it, to keep the connection alive.
 const peerDrainBytes = 4 << 10
 
-func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error) {
+// peerFetchOne asks one peer; a reply that does not admit (see
+// admitResult) is an error like any other.
+func (s *Server) peerFetchOne(ctx context.Context, u string) ([]byte, error) {
 	pctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, u, nil)
@@ -977,11 +1001,8 @@ func (s *Server) peerFetchOne(ctx context.Context, u string) (*MapResult, error)
 	if int64(len(b)) > s.cfg.PeerMaxBodyBytes {
 		return nil, fmt.Errorf("peer cache: response exceeds %d bytes", s.cfg.PeerMaxBodyBytes)
 	}
-	var res MapResult
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	res, _, err := admitResult(b)
+	return res, err
 }
 
 func (s *Server) worker() {
@@ -1084,66 +1105,49 @@ func (s *Server) runJob(j *job) {
 	// replicas whether one already mapped this key. Mapping is
 	// deterministic, so a peer's encoded result is byte-identical to what
 	// this replica would compute; any peer failure degrades to a miss.
-	if res := s.peerFetch(ctx, j.cacheKey); res != nil {
+	tier, runStats := TierPeer, (*obs.Stats)(nil)
+	res := s.peerFetch(ctx, j.cacheKey)
+	if res != nil {
 		s.metrics.add("cluster_cache_peer_hits", 1)
-		if faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
-			s.cache.Add(j.cacheKey, res)
-		}
-		s.metrics.add("jobs_done", 1)
 		j.setCached()
-		j.setAttribution(s.attribute(j, TierPeer, queueWait, time.Since(start), nil))
-		j.finish(JobDone, res, "")
-		// A peer's bytes are this replica's bytes (determinism), so they
-		// warm the durable tier too.
-		s.persistResult(ctx, j.cacheKey, res)
-		s.journalTerminal(ctx, j, JobDone, "")
-		s.logger.Info("job finished",
-			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-			"algorithm", j.algo, "state", string(JobDone), "peer_cache", true,
-			"duration", time.Since(start))
-		return
-	}
-
-	res, err := s.mapFn(ctx, j.circuit, src, j.algo, j.opt)
-	if err == nil {
-		if ferr := faultpoint.From(ctx).Check(ctx, PointQueuePop); ferr != nil {
-			err = ferr
+	} else {
+		tier, runStats = TierMiss, st
+		var err error
+		if res, err = s.mapFn(ctx, j.circuit, src, j.algo, j.opt); err == nil {
+			err = faultpoint.From(ctx).Check(ctx, PointQueuePop)
 		}
-	}
-	s.metrics.recordEngine(j.algo, st)
-	if err != nil {
-		state := JobFailed
-		counter := "jobs_failed"
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			state, counter = JobCanceled, "jobs_canceled"
+		s.metrics.recordEngine(j.algo, st)
+		if err != nil {
+			state := JobFailed
+			counter := "jobs_failed"
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				state, counter = JobCanceled, "jobs_canceled"
+			}
+			s.metrics.add(counter, 1)
+			j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
+			j.finish(state, nil, err.Error())
+			s.journalTerminal(ctx, j, state, err.Error())
+			s.logger.Warn("job finished",
+				"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
+				"algorithm", j.algo, "state", string(state), "error", err.Error(),
+				"duration", time.Since(start))
+			return
 		}
-		s.metrics.add(counter, 1)
-		j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
-		j.finish(state, nil, err.Error())
-		s.journalTerminal(ctx, j, state, err.Error())
-		s.logger.Warn("job finished",
-			"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-			"algorithm", j.algo, "state", string(state), "error", err.Error(),
-			"duration", time.Since(start))
-		return
+		s.metrics.observe(j.algo, time.Since(start))
 	}
-	// A cache-put fault only skips the store; the computed result is
-	// still correct and still returned.
-	if faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
-		s.cache.Add(j.cacheKey, res)
-	}
-	s.metrics.observe(j.algo, time.Since(start))
+	s.cachePut(ctx, j.cacheKey, res)
 	s.metrics.add("jobs_done", 1)
-	j.setAttribution(s.attribute(j, TierMiss, queueWait, time.Since(start), st))
+	j.setAttribution(s.attribute(j, tier, queueWait, time.Since(start), runStats))
 	j.finish(JobDone, res, "")
 	// Write-behind persistence after finish: the waiter is answered
 	// first, and a crash in the window before these land only costs a
-	// re-derivation (the journal re-admits, mapping is deterministic).
+	// re-derivation (the journal re-admits, mapping is deterministic). A
+	// peer's bytes are this replica's bytes, so they warm the disk too.
 	s.persistResult(ctx, j.cacheKey, res)
 	s.journalTerminal(ctx, j, JobDone, "")
 	s.logger.Info("job finished",
 		"request_id", j.reqID, "job_id", j.id, "circuit", j.circuit,
-		"algorithm", j.algo, "state", string(JobDone),
+		"algorithm", j.algo, "state", string(JobDone), "tier", tier,
 		"dp_tuples", st.TuplesGenerated, "duration", time.Since(start))
 }
 
@@ -1194,10 +1198,21 @@ func (s *Server) evictJobs(cutoff time.Time) int {
 	return n
 }
 
+// cachePut is the one way into the LRU, for mapped, peer-fetched,
+// store-promoted and journal-recovered results alike. A cache-put fault
+// only skips the write; the result is still correct and still answered.
+func (s *Server) cachePut(ctx context.Context, key string, res []byte) {
+	if faultpoint.From(ctx).Check(ctx, PointCachePut) == nil {
+		s.cache.Add(key, res)
+	}
+}
+
 // mapNetwork runs the full pipeline — decompose, unate-convert, map,
-// audit, encode — under ctx. It is the one code path both the daemon and
-// (modulo context) the CLI's -json mode represent.
-func mapNetwork(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) (*MapResult, error) {
+// audit, encode — under ctx and returns the result's compact bytes, the
+// one form every cache tier and answer shares. It is the one code path
+// both the daemon and (modulo context and indentation) the CLI's -json
+// mode represent.
+func mapNetwork(ctx context.Context, circuit string, src *logic.Network, algo string, opt mapper.Options) ([]byte, error) {
 	p, err := report.PrepareNetworkMode(ctx, src, opt.StrashOff)
 	if err != nil {
 		return nil, err
@@ -1216,5 +1231,5 @@ func mapNetwork(ctx context.Context, circuit string, src *logic.Network, algo st
 	if err := obs.Timed(obs.StatsFrom(ctx), obs.TracerFrom(ctx), obs.PhaseAudit, circuit, res.Audit); err != nil {
 		return nil, fmt.Errorf("audit: %w", err)
 	}
-	return NewMapResult(circuit, p, res), nil
+	return json.Marshal(NewMapResult(circuit, p, res))
 }
